@@ -302,14 +302,9 @@ def _lr_witness_integral(m: IntegralMatrix, mu):
 
 
 def _ladder_apply(m, d, raise_dir, lower_dir, index):
+    """e^d(m) along the ladder at index: d raising moves, or -d lowering."""
     ops = cb if m.binary else ci
-    steps, direction = (d, raise_dir) if d > 0 else (-d, lower_dir)
-    for _ in range(steps):
-        res = ops.move(m, direction, index)
-        if res is None:
-            raise AssertionError("ladder shorter than the cancellation step")
-        m = res[0]
-    return m
+    return ops.ladder(m, raise_dir if d > 0 else lower_dir, index, abs(d))[0]
 
 
 def involution(m: Matrix, shape: SkewShape, which: str, mode: str | None = None) -> Matrix:

@@ -92,9 +92,15 @@ def cmd_decode(args):
     _emit_tableau(decode(m, _shape(args.shape), args.mode), args)
 
 
+def _index(args):
+    if args.index < 0:
+        raise UsageError(f"--index must be nonnegative, got {args.index}")
+    return args.index
+
+
 def cmd_move(args):
     m = _read_matrix(args)
-    res = decomposition.apply_move(m, args.direction, args.index)
+    res = decomposition.apply_move(m, args.direction, _index(args))
     if res is None:
         print("none")
         return
@@ -104,7 +110,7 @@ def cmd_move(args):
 
 def cmd_potential(args):
     m = _read_matrix(args)
-    print(decomposition.potential(m, args.direction, args.index))
+    print(decomposition.potential(m, args.direction, _index(args)))
 
 
 def cmd_exhaust(args):

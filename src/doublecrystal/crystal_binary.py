@@ -3,6 +3,15 @@
 A move interchanges one vertically or horizontally adjacent pair of
 distinct bits, subject to prefix/suffix sum conditions that make at most
 one move per direction possible between any two adjacent rows or columns.
+
+All moves between one pair of lines follow one bracket matching (the
+signature rule): read the pair in reading order, a row pair left to right
+and a column pair bottom to top, writing '(' where a raising move (up,
+left) may move the bit and ')' where a lowering move (down, right) may.
+Successive raising moves flip the unmatched '(' from the left, successive
+lowering moves the unmatched ')' from the right, so `ladder` applies any
+number of them after one scan.  `interchangeable` is the literal one-move
+definition, kept as an independent check.
 """
 
 from typing import NamedTuple, Optional
@@ -66,120 +75,116 @@ def interchangeable(m: BinaryMatrix, k: int, l: int, orientation: str) -> bool:
     raise ValueError(f"unknown orientation: {orientation}")
 
 
+def _pairs(rows, orientation: str, index: int) -> list[tuple[int, int]]:
+    """Bit pairs of rows index, index+1 (left to right) or of columns
+    index, index+1 (bottom to top), zero beyond the stored rectangle."""
+    if index < 0:
+        raise ValueError(f"index must be nonnegative, got {index}")
+    h = len(rows)
+    w = len(rows[0]) if rows else 0
+    if orientation == ROWS:
+        zero = (0,) * w
+        return list(zip(rows[index] if index < h else zero,
+                        rows[index + 1] if index + 1 < h else zero))
+    if orientation == COLS:
+        j = index
+        if j + 1 < w:
+            return [(r[j], r[j + 1]) for r in reversed(rows)]
+        return [(r[j] if j < w else 0, 0) for r in reversed(rows)]
+    raise ValueError(f"unknown orientation: {orientation}")
+
+
+def _match(pairs) -> tuple[list[int], list[int]]:
+    """Reading positions of the unmatched '(' (0 over 1) and ')' (1 over 0)."""
+    opens, closes = [], []
+    for p, (a, b) in enumerate(pairs):
+        if a != b:
+            if b:
+                opens.append(p)
+            elif opens:
+                opens.pop()
+            else:
+                closes.append(p)
+    return opens, closes
+
+
+def _steps(rows, d: str, index: int) -> list[int]:
+    """Columns (row pairs) or rows (column pairs) of the bits a full
+    d-ladder at index moves, in move order."""
+    if d not in DIRECTIONS:
+        raise ValueError(f"unknown direction: {d}")
+    opens, closes = _match(_pairs(rows, ROWS if d in (UP, DOWN) else COLS, index))
+    steps = opens if d in (UP, LEFT) else closes[::-1]
+    if d in (LEFT, RIGHT):
+        return [len(rows) - 1 - p for p in steps]
+    return steps
+
+
+def _take(steps: list, k: Optional[int]) -> list:
+    """The first k steps of a ladder; None means all of them."""
+    if k is None:
+        return steps
+    if not 0 <= k <= len(steps):
+        raise ValueError(f"cannot apply {k} moves: the potential is {len(steps)}")
+    return steps[:k]
+
+
+def _shift(rows: list, d: str, index: int, steps: list[int]) -> list[tuple[int, int]]:
+    """Move one unit per step (the column of a row pair, the row of a
+    column pair) between lines index and index+1 in direction d, in place,
+    zero-padding the rows to the cells filled.  Returns the source cells."""
+    if steps and d == DOWN and len(rows) == index + 1:
+        rows.append([0] * len(rows[0]))
+    elif steps and d == RIGHT:
+        for r in rows:
+            r.extend([0] * (index + 2 - len(r)))
+    sources = []
+    for at in steps:
+        if d in (UP, DOWN):
+            first, second = (index, at), (index + 1, at)
+        else:
+            first, second = (at, index), (at, index + 1)
+        src, dst = (second, first) if d in (UP, LEFT) else (first, second)
+        rows[src[0]][src[1]] -= 1
+        rows[dst[0]][dst[1]] += 1
+        sources.append(src)
+    return sources
+
+
 def potential(m: BinaryMatrix, d: str, index: int) -> int:
-    """Number of times the directional move can be applied successively."""
-    rows = m.rows
-    h, w = m.height, m.width
-    if d in (UP, DOWN):
-        i = index
-        a = rows[i] if i < h else (0,) * w
-        b = rows[i + 1] if i + 1 < h else (0,) * w
-        best = s = 0
-        if d == UP:
-            for j in range(w - 1, -1, -1):
-                s += b[j] - a[j]
-                if s > best:
-                    best = s
-        else:
-            for j in range(w):
-                s += a[j] - b[j]
-                if s > best:
-                    best = s
-        return best
-    if d in (LEFT, RIGHT):
-        j = index
-        best = s = 0
-        if d == LEFT:
-            for i in range(h):
-                s += m[i, j + 1] - m[i, j]
-                if s > best:
-                    best = s
-        else:
-            for i in range(h - 1, -1, -1):
-                s += m[i, j] - m[i, j + 1]
-                if s > best:
-                    best = s
-        return best
-    raise ValueError(f"unknown direction: {d}")
+    """Number of times the directional move can be applied successively:
+    the unmatched brackets of the pair that its moves flip."""
+    return len(_steps(m.rows, d, index))
 
 
-def _move_position(m: BinaryMatrix, d: str, index: int) -> Optional[tuple[int, int]]:
-    """Position (row, col) of the bit '1' moved by one application, if any."""
-    h, w = m.height, m.width
-    if d in (UP, DOWN):
-        i = index
-        a = tuple(m[i, j] for j in range(w))
-        b = tuple(m[i + 1, j] for j in range(w))
-        if d == UP:
-            # maximal l attaining the suffix-sum maximum; bit '1' sits at (i+1, l)
-            best = s = 0
-            arg = None
-            for j in range(w - 1, -1, -1):
-                s += b[j] - a[j]
-                if s > best:
-                    best, arg = s, j
-            if arg is None:
-                return None
-            return (i + 1, arg)
-        # down: minimal l attaining the prefix-sum maximum; move at column l-1
-        best = s = 0
-        arg = None
-        for j in range(w):
-            s += a[j] - b[j]
-            if s > best:
-                best, arg = s, j + 1
-        if arg is None:
-            return None
-        return (i, arg - 1)
-    if d in (LEFT, RIGHT):
-        j = index
-        if d == LEFT:
-            best = s = 0
-            arg = None
-            for i in range(h):
-                s += m[i, j + 1] - m[i, j]
-                if s > best:
-                    best, arg = s, i + 1
-            if arg is None:
-                return None
-            return (arg - 1, j + 1)
-        best = s = 0
-        arg = None
-        for i in range(h - 1, -1, -1):
-            s += m[i, j] - m[i, j + 1]
-            if s > best:
-                best, arg = s, i
-        if arg is None:
-            return None
-        return (arg, j)
-    raise ValueError(f"unknown direction: {d}")
+def ladder_rows(rows: list, d: str, index: int, k: Optional[int] = None) -> list[MoveRecord]:
+    """`ladder` in place on a list of row lists; returns the records."""
+    steps = _take(_steps(rows, d, index), k)
+    return [MoveRecord(d, index, src) for src in _shift(rows, d, index, steps)]
+
+
+def ladder(
+    m: BinaryMatrix, d: str, index: int, k: Optional[int] = None
+) -> tuple[BinaryMatrix, tuple[MoveRecord, ...]]:
+    """Apply the first k moves (None: the whole potential) in direction d
+    between lines index and index+1, matching brackets once.
+
+    Returns the matrix and one record per move, in move order; the stored
+    rectangle grows only to the cells the moves fill.  `move` is
+    ladder(m, d, index, k=1).  Raises ValueError when k exceeds the
+    potential or index is negative.
+    """
+    rows = [list(r) for r in m.rows]
+    records = tuple(ladder_rows(rows, d, index, k))
+    return BinaryMatrix._wrap(tuple(map(tuple, rows))), records
 
 
 def move(m: BinaryMatrix, d: str, index: int) -> Optional[tuple[BinaryMatrix, MoveRecord]]:
     """Apply one raising/lowering move; None when none is possible."""
-    pos = _move_position(m, d, index)
-    if pos is None:
+    if not potential(m, d, index):
         return None
-    i1, j1 = pos  # bit '1' before the move
-    if d == UP:
-        i0, j0 = i1 - 1, j1
-    elif d == DOWN:
-        i0, j0 = i1 + 1, j1
-    elif d == LEFT:
-        i0, j0 = i1, j1 - 1
-    else:
-        i0, j0 = i1, j1 + 1
-    assert m[i1, j1] == 1 and m[i0, j0] == 0, (d, index, pos, m)
-    mm = m.pad_to(i0 + 1, j0 + 1)
-    rows = list(mm.rows)
-    for r in {i0, i1}:
-        row = list(rows[r])
-        if r == i1:
-            row[j1] = 0
-        if r == i0:
-            row[j0] = 1
-        rows[r] = tuple(row)
-    return BinaryMatrix._wrap(tuple(rows)), MoveRecord(d, index, pos)
+    out, (rec,) = ladder(m, d, index, 1)
+    return out, rec
 
 
 def paren_profile(m: BinaryMatrix, orientation: str, index: int):
@@ -189,31 +194,7 @@ def paren_profile(m: BinaryMatrix, orientation: str, index: int):
     by the lowering move, '-' anything else.  Returns (string, unmatched
     open positions, unmatched close positions).
     """
-    if orientation == ROWS:
-        i = index
-        pairs = [(m[i, j], m[i + 1, j]) for j in range(m.width)]
-    elif orientation == COLS:
-        j = index
-        pairs = [(m[i, j], m[i, j + 1]) for i in range(m.height - 1, -1, -1)]
-    else:
-        raise ValueError(f"unknown orientation: {orientation}")
-    sym = []
-    for a, b in pairs:
-        if (a, b) == (0, 1):
-            sym.append("(")
-        elif (a, b) == (1, 0):
-            sym.append(")")
-        else:
-            sym.append("-")
-    text = "".join(sym)
-    stack, open_un, close_un = [], [], []
-    for p, c in enumerate(text):
-        if c == "(":
-            stack.append(p)
-        elif c == ")":
-            if stack:
-                stack.pop()
-            else:
-                close_un.append(p)
-    open_un = stack
-    return text, tuple(open_un), tuple(close_un)
+    pairs = _pairs(m.rows, orientation, index)
+    opens, closes = _match(pairs)
+    text = "".join("(" if (a, b) == (0, 1) else ")" if (a, b) == (1, 0) else "-" for a, b in pairs)
+    return text, tuple(opens), tuple(closes)

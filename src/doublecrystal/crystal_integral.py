@@ -3,12 +3,17 @@
 The basic operation transfers units between adjacent entries; legality
 compares staggered partial sums (row i against row i+1 shifted one column,
 and transposed for column moves).  Unit transfers in a fixed direction
-between a fixed pair of rows or columns happen at a unique position.
+between a fixed pair of rows or columns happen at a unique position,
+given by the bracket matching of `paren_profile`: raising transfers (up,
+left) flip the unmatched ')' from the right, lowering transfers the
+unmatched '(' from the left, so `ladder` applies any number of them after
+one scan.  `transfer_legal` is the literal definition, kept as an
+independent check.
 """
 
 from typing import NamedTuple, Optional
 
-from .crystal_binary import DOWN, LEFT, RIGHT, UP
+from .crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP, _shift, _take
 from .matrices import IntegralMatrix
 
 ROWS = "rows"
@@ -54,83 +59,97 @@ def transfer_legal(m: IntegralMatrix, axis: str, pair: int, at: int, amount: int
     return True
 
 
-def potential(m: IntegralMatrix, d: str, index: int) -> int:
-    """Number of successive unit transfers possible in the direction."""
-    if d in (LEFT, RIGHT):
-        return potential(m.transpose(), UP if d == LEFT else DOWN, index)
-    if d not in (UP, DOWN):
+def _units(rows, axis: str, index: int) -> list[tuple[int, int]]:
+    """Per reading step of the pair, the counts of ')' then '(': for rows
+    index, index+1 column by column (m[i+1,j], m[i,j]); for columns
+    index, index+1 row by row (m[i,j+1], m[i,j]).  Zero beyond the stored
+    rectangle."""
+    if index < 0:
+        raise ValueError(f"index must be nonnegative, got {index}")
+    h = len(rows)
+    w = len(rows[0]) if rows else 0
+    if axis == ROWS:
+        zero = (0,) * w
+        return list(zip(rows[index + 1] if index + 1 < h else zero,
+                        rows[index] if index < h else zero))
+    if axis == COLS:
+        j = index
+        if j + 1 < w:
+            return [(r[j + 1], r[j]) for r in rows]
+        # a matrix without columns has no column pair to read
+        return [(0, r[j] if j < w else 0) for r in rows] if w else []
+    raise ValueError(f"unknown axis: {axis}")
+
+
+def _match(units) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Unmatched brackets, each ')' matching the nearest unmatched '('
+    before it: [step, count] of the '(' and (step, count) of the ')'."""
+    opens, closes = [], []
+    for step, (c, o) in enumerate(units):
+        while c and opens:
+            top = opens[-1]
+            if top[1] > c:
+                top[1] -= c
+                c = 0
+            else:
+                c -= top[1]
+                opens.pop()
+        if c:
+            closes.append((step, c))
+        if o:
+            opens.append([step, o])
+    return opens, closes
+
+
+def _runs(rows, d: str, index: int) -> list:
+    """(column or row, units) of the transfers a full d-ladder at index
+    makes, in move order: raising moves take the unmatched ')' from the
+    right, lowering moves the unmatched '(' from the left."""
+    if d not in DIRECTIONS:
         raise ValueError(f"unknown direction: {d}")
-    i = index
-    w = m.width
-    if d == UP:
-        best = s = m[i + 1, 0]
-        for l in range(w):
-            s += m[i + 1, l + 1] - m[i, l]
-            if s > best:
-                best = s
-        return max(best, 0)
-    best = s = 0
-    for l in range(w - 1, -1, -1):
-        s += m[i, l] - m[i + 1, l + 1]
-        if s > best:
-            best = s
-    return best
+    opens, closes = _match(_units(rows, ROWS if d in (UP, DOWN) else COLS, index))
+    return closes[::-1] if d in (UP, LEFT) else opens
 
 
-def _transfer_position(m: IntegralMatrix, d: str, index: int) -> Optional[int]:
-    """Column (for row moves) of the unique legal unit transfer, if any."""
-    i = index
-    w = m.width
-    if d == UP:
-        best = s = m[i + 1, 0]
-        arg = 0
-        for l in range(w):
-            s += m[i + 1, l + 1] - m[i, l]
-            if s > best:
-                best, arg = s, l + 1  # minimal attaining index
-        return arg if best > 0 else None
-    if d == DOWN:
-        best = s = 0
-        arg = None
-        for l in range(w - 1, -1, -1):
-            s += m[i, l] - m[i + 1, l + 1]
-            if s > best:
-                best, arg = s, l  # maximal attaining index
-        return arg
-    raise ValueError(f"unknown direction: {d}")
+def potential(m: IntegralMatrix, d: str, index: int) -> int:
+    """Number of successive unit transfers possible in the direction: the
+    unmatched brackets of the pair that its transfers flip."""
+    return sum(n for _, n in _runs(m.rows, d, index))
+
+
+def ladder_rows(rows: list, d: str, index: int, k: Optional[int] = None) -> list[TransferRecord]:
+    """`ladder` in place on a list of row lists; returns the records."""
+    steps = _take([at for at, n in _runs(rows, d, index) for _ in range(n)], k)
+    _shift(rows, d, index, steps)
+    return [TransferRecord(d, index, at) for at in steps]
+
+
+def ladder(
+    m: IntegralMatrix, d: str, index: int, k: Optional[int] = None
+) -> tuple[IntegralMatrix, tuple[TransferRecord, ...]]:
+    """Apply the first k unit transfers (None: the whole potential) in
+    direction d between lines index and index+1, matching brackets once.
+
+    Returns the matrix and one record per unit, in move order; the stored
+    rectangle grows only to the cells the transfers fill.  `move` is
+    ladder(m, d, index, k=1).  Raises ValueError when k exceeds the
+    potential or index is negative.
+    """
+    rows = [list(r) for r in m.rows]
+    records = tuple(ladder_rows(rows, d, index, k))
+    return IntegralMatrix._wrap(tuple(map(tuple, rows))), records
 
 
 def move(m: IntegralMatrix, d: str, index: int) -> Optional[tuple[IntegralMatrix, TransferRecord]]:
     """Apply one unit transfer in the direction; None when none is legal."""
-    if d in (LEFT, RIGHT):
-        res = move(m.transpose(), UP if d == LEFT else DOWN, index)
-        if res is None:
-            return None
-        mt, rec = res
-        return mt.transpose(), TransferRecord(d, index, rec.at)
-    l = _transfer_position(m, d, index)
-    if l is None:
+    if not potential(m, d, index):
         return None
-    i = index
-    if d == UP:
-        src, dst = (i + 1, l), (i, l)
-    else:
-        src, dst = (i, l), (i + 1, l)
-    assert m[src] >= 1, (d, index, l, m)
-    mm = m.pad_to(max(src[0], dst[0]) + 1, l + 1)
-    rows = list(mm.rows)
-    for r in {src[0], dst[0]}:
-        row = list(rows[r])
-        if r == src[0]:
-            row[src[1]] -= 1
-        if r == dst[0]:
-            row[dst[1]] += 1
-        rows[r] = tuple(row)
-    return IntegralMatrix._wrap(tuple(rows)), TransferRecord(d, index, l)
+    out, (rec,) = ladder(m, d, index, 1)
+    return out, rec
 
 
 def paren_profile(m: IntegralMatrix, axis: str, index: int):
-    """Bracket string for a pair of rows (transpose first for columns).
+    """Bracket string for a pair of rows (or of columns, read top to bottom).
 
     Per column j, emit m[i+1,j] symbols ')' then m[i,j] symbols '(' so
     that '(' units of row i may match ')' units of row i+1 one column to
@@ -138,25 +157,14 @@ def paren_profile(m: IntegralMatrix, axis: str, index: int):
     down potential.  Returns (string, column separator positions,
     unmatched '(' positions, unmatched ')' positions).
     """
-    if axis == COLS:
-        return paren_profile(m.transpose(), ROWS, index)
-    if axis != ROWS:
-        raise ValueError(f"unknown axis: {axis}")
-    i = index
-    sym = []
-    seps = []
-    for j in range(m.width):
-        sym.extend(")" * m[i + 1, j])
-        sym.extend("(" * m[i, j])
+    units = _units(m.rows, axis, index)
+    opens, closes = _match(units)
+    sym, seps, starts = [], [], []
+    for c, o in units:
+        starts.append(len(sym) + c)  # position of the step's first '('
+        sym.extend(")" * c + "(" * o)
         seps.append(len(sym))
-    text = "".join(sym)
-    stack, close_un = [], []
-    for p, c in enumerate(text):
-        if c == "(":
-            stack.append(p)
-        else:
-            if stack:
-                stack.pop()
-            else:
-                close_un.append(p)
-    return text, tuple(seps[:-1] if seps else ()), tuple(stack), tuple(close_un)
+    # a step's unmatched '(' are its first ones, its unmatched ')' its last
+    open_un = tuple(starts[step] + u for step, n in opens for u in range(n))
+    close_un = tuple(starts[step] - n + u for step, n in closes for u in range(n))
+    return "".join(sym), tuple(seps[:-1]), open_un, close_un

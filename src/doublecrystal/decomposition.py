@@ -6,6 +6,8 @@ independent of the order; downward/rightward exhaustion needs an index
 bound k (moves dnm_i / rtm_j are attempted for i, j in [0, k-1) only).
 """
 
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional
 
 from . import crystal_binary as cb
@@ -51,32 +53,32 @@ def exhaust(m: Matrix, directions, bound: Optional[int] = None):
     """Apply moves from the given directions until none is possible.
 
     Canonical order: scan directions in (up, down, left, right) order, take
-    the lowest index admitting a move and climb that ladder completely.
-    Returns (matrix, tuple of move records).
+    the lowest index admitting a move and climb that ladder completely,
+    then scan again.  A ladder at index i changes only the potentials at
+    i-1, i and i+1, so each scan resumes at index i-1 (not 0) of the same
+    direction; moves of one axis leave the other axis's potentials
+    unchanged, so the directions are exhausted one after the other.
+    Opposite directions undo each other and are rejected.  Returns
+    (matrix, tuple of move records).
     """
     directions = tuple(d for d in (UP, DOWN, LEFT, RIGHT) if d in set(directions))
     if not directions:
         raise UsageError("at least one direction is required")
-    limits = {d: _index_limit(m, d, bound) for d in directions}
+    if {UP, DOWN} <= set(directions) or {LEFT, RIGHT} <= set(directions):
+        raise UsageError("opposite directions undo each other; exhaust them separately")
+    if bound is not None and bound < 1:
+        raise UsageError(f"bound must be at least 1, got {bound}")
     ops = _ops(m)
+    rows = [list(r) for r in m.rows]
     records = []
-    progress = True
-    while progress:
-        progress = False
-        for d in directions:
-            for index in range(limits[d]):
-                res = ops.move(m, d, index)
-                if res is None:
-                    continue
-                while res is not None:
-                    m, rec = res
-                    records.append(rec)
-                    res = ops.move(m, d, index)
-                progress = True
-                break
-            if progress:
-                break
-    return m, tuple(records)
+    for d in directions:
+        limit = _index_limit(m, d, bound)
+        index = 0
+        while index < limit:
+            climbed = ops.ladder_rows(rows, d, index)
+            records += climbed
+            index = max(index - 1, 0) if climbed else index + 1
+    return type(m)._wrap(tuple(map(tuple, rows))), tuple(records)
 
 
 def is_normal(m: Matrix) -> Optional[Partition]:
@@ -108,7 +110,8 @@ def compose(p: Matrix, q: Matrix) -> Matrix:
     """Inverse of decompose: the unique m with exhaust-up = P, exhaust-left = Q.
 
     Records the raising sequence that exhausts upward moves on Q, then
-    applies the inverse lowering sequence to P.
+    applies the inverse lowering sequence to P, one ladder per run of
+    records at one index.
     """
     if type(p) is not type(q):
         raise ComposeError("P and Q must have the same mode")
@@ -127,12 +130,10 @@ def compose(p: Matrix, q: Matrix) -> Matrix:
     elif rp != cq:
         raise ComposeError("need rsum(P) = csum(Q)")
     _, up_seq = exhaust(q, (UP,))
-    m = p
-    for rec in reversed(up_seq):
-        res = ops.move(m, DOWN, rec.index)
-        if res is None:
-            raise AssertionError("inverse lowering sequence blocked; move rules broken")
-        m = res[0]
+    rows = [list(r) for r in p.rows]
+    for index, run in groupby(reversed(up_seq), key=attrgetter("index")):
+        ops.ladder_rows(rows, DOWN, index, len(list(run)))
+    m = type(p)._wrap(tuple(map(tuple, rows)))
     check_p, check_q = decompose(m)
     if check_p != p or check_q != q:
         raise AssertionError("compose result fails to re-decompose; move rules broken")

@@ -157,3 +157,20 @@ def test_growth_golden_renderings(files, capsys, name, key, orientation):
     out = capsys.readouterr().out
     golden = (pathlib.Path(__file__).parent / "goldens" / f"{name}.txt").read_text()
     assert out == golden
+
+
+@pytest.mark.parametrize("argv", [
+    ["move", "--direction", "up", "--index", "-1"],
+    ["potential", "--direction", "up", "--index", "-1"],
+    ["exhaust", "--directions", "down", "--bound", "-3"],
+    ["exhaust", "--directions", "down", "--bound", "0"],
+    ["exhaust", "--directions", "up,down"],
+    ["exhaust", "--directions", "left,right"],
+])
+def test_bad_index_bound_and_opposite_directions_exit_2(tmp_path, capsys, argv):
+    mf = tmp_path / "m.txt"
+    mf.write_text("1 2\n3 4\n")
+    assert run(argv + ["--mode", "integral", str(mf)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1

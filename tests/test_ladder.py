@@ -1,0 +1,133 @@
+"""The bracket-matching ladder kernel against the literal one-move
+definitions: `interchangeable` (binary) and `transfer_legal` (integral)
+pick the unique legal move, and per-move exhaustion follows the canonical
+order documented in `exhaust`, rescanning from index 0 after every ladder."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from doublecrystal import crystal_binary as cb
+from doublecrystal import crystal_integral as ci
+from doublecrystal.crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP, MoveRecord
+from doublecrystal.crystal_integral import TransferRecord
+from doublecrystal.decomposition import UsageError, exhaust
+from doublecrystal.matrices import BinaryMatrix, IntegralMatrix
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+@st.composite
+def matrices(draw, side=8):
+    binary = draw(st.booleans())
+    h = draw(st.integers(0, side))
+    w = draw(st.integers(0, side))
+    entry = st.integers(0, 1 if binary else 3)
+    rows = draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h))
+    return (BinaryMatrix if binary else IntegralMatrix)(rows)
+
+
+def oracle_move(m, d, index):
+    """One move found by the literal legality predicate; None when no
+    position is legal."""
+    vertical = d in (UP, DOWN)
+    raising = d in (UP, LEFT)
+    if m.binary:
+        want = (0, 1) if raising else (1, 0)
+        if vertical:
+            def legal(at):
+                return ((m[index, at], m[index + 1, at]) == want
+                        and cb.interchangeable(m, index, at, "vertical"))
+        else:
+            def legal(at):
+                return ((m[at, index], m[at, index + 1]) == want
+                        and cb.interchangeable(m, at, index, "horizontal"))
+    else:
+        def legal(at):
+            return ci.transfer_legal(m, "rows" if vertical else "cols", index, at,
+                                     1 if raising else -1)
+    ats = [at for at in range(m.width if vertical else m.height) if legal(at)]
+    assert len(ats) <= 1, (m, d, index, ats)
+    if not ats:
+        return None
+    at = ats[0]
+    first, second = ((index, at), (index + 1, at)) if vertical else ((at, index), (at, index + 1))
+    src, dst = (second, first) if raising else (first, second)
+    out = m.with_entry(*src, m[src] - 1).with_entry(*dst, m[dst] + 1)
+    rec = MoveRecord(d, index, src) if m.binary else TransferRecord(d, index, at)
+    return out, rec
+
+
+def oracle_exhaust(m, directions, bound=None):
+    """Per-move exhaustion: the lowest index of the first direction that
+    admits a move is climbed completely, then the scan restarts at 0."""
+    limits = {}
+    for d in directions:
+        extent = m.height if d in (UP, DOWN) else m.width
+        limits[d] = extent if d in (UP, LEFT) else max((extent if bound is None else bound) - 1, 0)
+    records = []
+    while True:
+        found = next(((d, i) for d in DIRECTIONS if d in directions
+                      for i in range(limits[d]) if oracle_move(m, d, i)), None)
+        if found is None:
+            return m, tuple(records)
+        step = oracle_move(m, *found)
+        while step is not None:
+            m, rec = step
+            records.append(rec)
+            step = oracle_move(m, *found)
+
+
+@SETTINGS
+@given(matrices(), st.sampled_from(DIRECTIONS), st.integers(0, 9))
+def test_ladder_is_k_oracle_moves(m, d, index):
+    ops = cb if m.binary else ci
+    pot = ops.potential(m, d, index)
+    x, want = m, []
+    for k in range(pot + 1):
+        out, records = ops.ladder(m, d, index, k)
+        assert out.rows == x.rows and records == tuple(want), (m, d, index, k)
+        step = oracle_move(x, d, index)
+        if k < pot:
+            x, rec = step
+            want.append(rec)
+    assert step is None
+    assert ops.ladder(m, d, index) == ops.ladder(m, d, index, pot)
+    first = ops.move(m, d, index)
+    assert (first is None) == (pot == 0)
+    if first:
+        assert first[0].rows == ops.ladder(m, d, index, 1)[0].rows and first[1] == want[0]
+    with pytest.raises(ValueError):
+        ops.ladder(m, d, index, pot + 1)
+
+
+DIRECTION_SETS = [(UP,), (DOWN,), (LEFT,), (RIGHT,), (UP, LEFT), (UP, RIGHT),
+                  (DOWN, LEFT), (DOWN, RIGHT)]
+
+
+@SETTINGS
+@given(matrices(), st.sampled_from(DIRECTION_SETS), st.one_of(st.none(), st.integers(1, 10)))
+def test_exhaust_matches_per_move_exhaustion(m, directions, bound):
+    out, records = exhaust(m, directions, bound)
+    want, want_records = oracle_exhaust(m, directions, bound)
+    assert out.rows == want.rows, (m, directions, bound)
+    assert records == want_records
+
+
+@pytest.mark.parametrize("mod,m", [(cb, BinaryMatrix([[0, 1], [1, 0]])),
+                                   (ci, IntegralMatrix([[1, 2], [3, 4]]))])
+def test_negative_index_is_rejected(mod, m):
+    for d in DIRECTIONS:
+        for call in (mod.potential, mod.move, mod.ladder):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call(m, d, -1)
+
+
+@pytest.mark.parametrize("directions,bound", [
+    ((UP, DOWN), None), ((LEFT, RIGHT), None), ((UP, DOWN, LEFT), 2),
+    ((DOWN,), 0), ((RIGHT,), -3), ((UP,), 0),
+])
+def test_exhaust_rejects_opposite_directions_and_bounds_below_one(directions, bound):
+    for m in (BinaryMatrix([[0, 1], [1, 0]]), IntegralMatrix([[1, 2], [3, 4]])):
+        with pytest.raises(UsageError):
+            exhaust(m, directions, bound)
