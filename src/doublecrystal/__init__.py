@@ -20,6 +20,7 @@ from .matrices import (
     TABLEAU,
     BinaryMatrix,
     DecodeError,
+    InputError,
     IntegralMatrix,
     condition,
     decode,

@@ -4,16 +4,23 @@ involutions.
 
 The four summation stages per mode (brute, tab_first, lr_first,
 fully_reduced) all evaluate the same scalar product; sums are taken over
-matrices supported in a finite box, with a stabilization check that the
-value is unchanged when the box grows.
+matrices supported in a finite box.  The box contract has two parts: for
+shapes of equal weight the box must cover both targets (binary: lam_1
+columns and l(nu) rows; integral: l(lam) rows and l(nu) columns), and the
+value must be unchanged when the box grows by one row and one column.
+Either failure raises BoxTooSmall.
+
+The brute stage sums f * g over every matrix in the box, grouped by margin
+pair: for each pair of compositions with nonzero edge symbols it multiplies
+the symbols by the number of matrices with those row and column sums.
 """
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
 
 from . import crystal_binary as cb
 from . import crystal_integral as ci
 from .crystal_binary import DOWN, LEFT, RIGHT, UP
+from .decomposition import UsageError
 from .matrices import (
     BINARY,
     LR,
@@ -44,7 +51,8 @@ STAGES = (BRUTE, TAB_FIRST, LR_FIRST, FULLY_REDUCED)
 
 
 class BoxTooSmall(ValueError):
-    """The enumeration box failed the stabilization check."""
+    """The enumeration box does not cover both targets or failed the
+    stabilization check."""
 
 
 class NotCancellable(ValueError):
@@ -143,23 +151,39 @@ def _symbol_support(base, target, n, slots):
     return tuple(out)
 
 
+def _spread(r, cols, cap):
+    """Rows of total r with entry j at most min(cols[j], cap)."""
+    if not cols:
+        if r == 0:
+            yield ()
+        return
+    hi = min(r, cols[0], cap)
+    for x in range(hi, -1, -1):
+        for rest in _spread(r - x, cols[1:], cap):
+            yield (x,) + rest
+
+
 @lru_cache(maxsize=None)
-def _margin_counts(mode, h, w, n):
-    """dict (trimmed rsum, trimmed csum) -> number of matrices in the h x w
-    box with that margin pair and total n."""
-    counts = {}
-    cells = [(i, j) for i in range(h) for j in range(w)]
-    gen = combinations if mode == BINARY else combinations_with_replacement
-    for combo in gen(range(len(cells)), n):
-        rs = [0] * h
-        cs = [0] * w
-        for c in combo:
-            i, j = cells[c]
-            rs[i] += 1
-            cs[j] += 1
-        key = (trim(rs), trim(cs))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _margin_count(mode, rs, cs):
+    """Number of matrices with row sums rs and column sums cs: 0/1 entries
+    for binary (the Gale-Ryser setting), any nonnegative entries for
+    integral (contingency tables).
+
+    Fills row by row; the recursive calls key on the remaining rows and the
+    sorted remaining column sums, since permuting columns keeps the count.
+    """
+    if sum(rs) != sum(cs):
+        return 0
+    rs = tuple(x for x in rs if x)
+    if not rs:
+        return 1
+    cols = tuple(x for x in cs if x)
+    cap = 1 if mode == BINARY else rs[0]
+    total = 0
+    for row in _spread(rs[0], cols, cap):
+        rest = tuple(sorted(c - x for c, x in zip(cols, row) if c > x))
+        total += _margin_count(mode, rs[1:], rest)
+    return total
 
 
 def lr_count(shape1: SkewShape, shape2: SkewShape, mode: str) -> int:
@@ -203,16 +227,13 @@ def _stage_value(shape1, shape2, stage, mode, box):
         g_base, g_target = mu, nu  # on column sums
         f_slots, g_slots = h, w
     if stage == BRUTE:
-        counts = _margin_counts(mode, h, w, n)
         f_sup = _symbol_support(f_base, f_target, n, f_slots)
         g_sup = _symbol_support(g_base, g_target, n, g_slots)
         total = 0
         for a1, s1 in f_sup:
             for a2, s2 in g_sup:
-                key = (a2, a1) if mode == BINARY else (a1, a2)
-                c = counts.get(key)
-                if c:
-                    total += c * s1 * s2
+                rs, cs = (a2, a1) if mode == BINARY else (a1, a2)
+                total += s1 * s2 * _margin_count(mode, rs, cs)
         return total
     if stage == TAB_FIRST:
         # sum of the LR-side symbol over tableau-condition matrices in the box
@@ -252,11 +273,35 @@ def _stage_value(shape1, shape2, stage, mode, box):
     raise ValueError(f"unknown stage: {stage}")
 
 
+def _least_box(shape1: SkewShape, shape2: SkewShape, mode: str) -> tuple[int, int]:
+    """The smallest (rows, cols) box that holds both targets: binary needs
+    lam_1 columns and l(nu) rows, integral l(lam) rows and l(nu) columns."""
+    lam, nu = shape1.outer, shape2.outer
+    if mode == BINARY:
+        return len(nu), part(lam, 0)
+    return len(lam), len(nu)
+
+
 def alternating_sum(shape1: SkewShape, shape2: SkewShape, stage: str, mode: str,
                     box: tuple[int, int] = (6, 6)) -> int:
     """Evaluate one of the alternating-sum expressions over all matrices of
-    the mode supported in the box; raises BoxTooSmall unless the value is
-    unchanged when the box grows by one row and one column."""
+    the mode supported in the box.
+
+    Raises UsageError unless box is two integers of at least 1.  For shapes
+    of equal weight, raises BoxTooSmall unless the box covers both targets
+    (see _least_box), and also unless the value is unchanged when the box
+    grows by one row and one column.
+    """
+    if (not isinstance(box, (tuple, list)) or len(box) != 2
+            or any(type(x) is not int or x < 1 for x in box)):
+        raise UsageError(f"box must be two integers of at least 1, got {box!r}")
+    if shape1.weight == shape2.weight:
+        need = _least_box(shape1, shape2, mode)
+        if box[0] < need[0] or box[1] < need[1]:
+            raise BoxTooSmall(
+                f"box {box} does not cover the targets of {shape1} and {shape2}; "
+                f"{mode} needs at least {need}"
+            )
     v = _stage_value(shape1, shape2, stage, mode, box)
     v2 = _stage_value(shape1, shape2, stage, mode, (box[0] + 1, box[1] + 1))
     if v != v2:

@@ -21,11 +21,14 @@ from .matrices import (
     BINARY,
     INTEGRAL,
     LR,
+    InputError,
     condition,
     decode,
     encode,
+    is_int_lists,
     matrix_from_json,
     parse_matrix,
+    read_json_object,
 )
 from .shapes import (
     FLAVORS,
@@ -56,7 +59,10 @@ def _read_matrix(args, attr="matrix"):
 def _read_tableau(args, attr="tableau"):
     text = _read_text(getattr(args, attr, None)).strip()
     if text.startswith("{"):
-        data = json.loads(text)
+        data = read_json_object(text, {
+            "flavor": (lambda v: v in FLAVORS, f"one of {', '.join(FLAVORS)}"),
+            "chain": (is_int_lists, "a list of partitions (lists of integers)"),
+        })
         return Tableau(data["flavor"], tuple(tuple(c) for c in data["chain"]))
     chain = tuple(parse_partition(line) for line in text.splitlines() if line.strip())
     return Tableau(getattr(args, "flavor", SST) or SST, chain)
@@ -192,9 +198,16 @@ def cmd_dual(args):
     _emit_tableau(schutzenberger.dual(t), args)
 
 
+def _box(text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"--box must be rows,cols, got {text!r}") from None
+
+
 def cmd_scalar(args):
     s1, s2 = _shape(args.shape1), _shape(args.shape2)
-    box = tuple(int(x) for x in args.box.split(",")) if args.box else (6, 6)
+    box = _box(args.box) if args.box else (6, 6)
     value = alternating_sum(s1, s2, args.stage, args.mode, box)
     print(value)
     if args.trace:
@@ -230,13 +243,18 @@ def cmd_pictures(args):
     elif args.action == "validate":
         text = _read_text(args.map)
         mapping = []
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
-            src, dst = line.split("->")
-            s = tuple(int(x) for x in src.strip().split(","))
-            t = tuple(int(x) for x in dst.strip().split(","))
+            try:
+                src, dst = line.split("->")
+                s = tuple(int(x) for x in src.split(","))
+                t = tuple(int(x) for x in dst.split(","))
+            except ValueError:
+                raise InputError(
+                    f"map line {number}: expected 'row,col -> row,col', got {line!r}"
+                ) from None
             mapping.append((s, t))
         ok = pictures.validate(tuple(mapping), dom, cod)
         print("valid" if ok else "invalid")

@@ -36,6 +36,11 @@ class DecodeError(ValueError):
     """A matrix fails the tableau condition needed to decode it."""
 
 
+class InputError(ValueError):
+    """Malformed input text: a JSON key missing or of the wrong type, or a
+    line that does not follow its format."""
+
+
 class Matrix:
     """Shared implementation; use BinaryMatrix or IntegralMatrix."""
 
@@ -215,8 +220,33 @@ def parse_matrix(text: str, mode: str) -> Matrix:
     return matrix_type(mode)(rows)
 
 
-def matrix_from_json(text: str) -> Matrix:
+def is_int_lists(value) -> bool:
+    """Whether a parsed JSON value is a list of lists of integers."""
+    return isinstance(value, list) and all(
+        isinstance(r, list) and all(type(x) is int for x in r) for r in value
+    )
+
+
+def read_json_object(text: str, fields: dict) -> dict:
+    """Parse a JSON object holding each key of fields, where fields maps a
+    key to (test, wanted); raises InputError naming the first key that is
+    missing or whose value fails its test."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise InputError(f"expected a JSON object, got {type(data).__name__}")
+    for key, (test, wanted) in fields.items():
+        if key not in data:
+            raise InputError(f"JSON input lacks key {key!r}")
+        if not test(data[key]):
+            raise InputError(f"JSON key {key!r} must be {wanted}, got {data[key]!r:.80}")
+    return data
+
+
+def matrix_from_json(text: str) -> Matrix:
+    data = read_json_object(text, {
+        "mode": (lambda v: v in (BINARY, INTEGRAL), f"{BINARY!r} or {INTEGRAL!r}"),
+        "rows": (is_int_lists, "a list of lists of integers"),
+    })
     return matrix_type(data["mode"])(data["rows"])
 
 

@@ -13,7 +13,10 @@ from .cancellation import (
     lr_count,
     lr_witness,
 )
-from .crystal_binary import DIRECTIONS, DOWN, LEFT, OPPOSITE, RIGHT, UP
+from . import crystal_binary as cb
+from . import crystal_integral as ci
+from .crystal_binary import DIRECTIONS, DOWN, LEFT, OPPOSITE, RIGHT, UP, MoveRecord
+from .crystal_integral import TransferRecord
 from .decomposition import apply_move, compose, decompose, exhaust, normal_form, potential
 from .growth import ORIENTATIONS, growth_diagram
 from .insertion import burge, dual_rsk_col, rectify
@@ -61,6 +64,39 @@ def _random_sst(rng, max_strips=5, max_row=4):
     return Tableau(SST, tuple(chain))
 
 
+def oracle_move(m, d, index):
+    """One move found by the literal legality predicate, `interchangeable`
+    (binary) or `transfer_legal` (integral), independent of the bracket
+    scan behind `move` and `potential`; None when no position is legal."""
+    vertical = d in (UP, DOWN)
+    raising = d in (UP, LEFT)
+    if m.binary:
+        want = (0, 1) if raising else (1, 0)
+        if vertical:
+            def legal(at):
+                return ((m[index, at], m[index + 1, at]) == want
+                        and cb.interchangeable(m, index, at, "vertical"))
+        else:
+            def legal(at):
+                return ((m[at, index], m[at, index + 1]) == want
+                        and cb.interchangeable(m, at, index, "horizontal"))
+    else:
+        def legal(at):
+            return ci.transfer_legal(m, "rows" if vertical else "cols", index, at,
+                                     1 if raising else -1)
+    ats = [at for at in range(m.width if vertical else m.height) if legal(at)]
+    if len(ats) > 1:
+        raise ValueError(f"several legal positions {ats} for {d} {index} in {m.rows}")
+    if not ats:
+        return None
+    at = ats[0]
+    first, second = ((index, at), (index + 1, at)) if vertical else ((at, index), (at, index + 1))
+    src, dst = (second, first) if raising else (first, second)
+    out = m.with_entry(*src, m[src] - 1).with_entry(*dst, m[dst] + 1)
+    rec = MoveRecord(d, index, src) if m.binary else TransferRecord(d, index, at)
+    return out, rec
+
+
 def suite_moves(rng):
     """move defined iff potential > 0; opposite moves invert; at most one
     move per direction and pair."""
@@ -80,7 +116,8 @@ def suite_moves(rng):
 
 
 def suite_potentials(rng):
-    """potential equals the count of successive moves; margin identities."""
+    """potential equals the count of successive oracle moves; margin
+    identities."""
     for _ in range(100):
         m = _random_matrix(rng, rng.random() < 0.5)
         rs, cs = m.row_sums(), m.col_sums()
@@ -88,11 +125,8 @@ def suite_potentials(rng):
             for d in DIRECTIONS:
                 n = 0
                 x = m
-                while True:
-                    res = apply_move(x, d, idx)
-                    if res is None:
-                        break
-                    x = res[0]
+                while (step := oracle_move(x, d, idx)) is not None:
+                    x = step[0]
                     n += 1
                 if n != potential(m, d, idx):
                     return False

@@ -12,6 +12,8 @@ from doublecrystal.cancellation import (
     TAB_FIRST,
     BoxTooSmall,
     NotCancellable,
+    _least_box,
+    _margin_count,
     _stage_value,
     alternating_sum,
     edge_symbol,
@@ -19,6 +21,7 @@ from doublecrystal.cancellation import (
     lr_count,
     lr_witness,
 )
+from doublecrystal.decomposition import UsageError
 from doublecrystal.matrices import (
     BINARY,
     INTEGRAL,
@@ -123,6 +126,41 @@ def test_stages_match_naive_enumeration():
                 assert _stage_value(s1, s2, stage, mode, (4, 4)) == naive_stage(
                     s1, s2, stage, mode, (4, 4)
                 ), (str(s1), str(s2), mode, stage)
+
+
+def naive_margin_counts(mode, h, w, n):
+    """(row sums, column sums) -> number of matrices in the h x w box with
+    total n, by listing every multiset (integral) or set (binary) of cells."""
+    cells = [(i, j) for i in range(h) for j in range(w)]
+    gen = itertools.combinations if mode == BINARY else itertools.combinations_with_replacement
+    counts = {}
+    for combo in gen(range(len(cells)), n):
+        rs, cs = [0] * h, [0] * w
+        for c in combo:
+            i, j = cells[c]
+            rs[i] += 1
+            cs[j] += 1
+        key = (tuple(rs), tuple(cs))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_margin_count_matches_enumeration():
+    # every margin pair of totals up to 5 in every box up to 4 x 4, so zero
+    # counts and mismatched totals are covered too
+    top = 5
+    for mode in (BINARY, INTEGRAL):
+        for h in range(1, 5):
+            for w in range(1, 5):
+                counts = {}
+                for n in range(top + 1):
+                    counts.update(naive_margin_counts(mode, h, w, n))
+                row_sums = [r for r in itertools.product(range(top + 1), repeat=h) if sum(r) <= top]
+                col_sums = [c for c in itertools.product(range(top + 1), repeat=w) if sum(c) <= top]
+                for rs in row_sums:
+                    for cs in col_sums:
+                        assert _margin_count(mode, rs, cs) == counts.get((rs, cs), 0), (
+                            mode, rs, cs)
 
 
 def test_stage_agreement_and_lr_count():
@@ -266,6 +304,42 @@ def test_box_too_small():
     with pytest.raises(BoxTooSmall):
         alternating_sum(s1, s2, TAB_FIRST, BINARY, (2, 2))
     assert alternating_sum(s1, s2, TAB_FIRST, BINARY, (3, 3)) == 1
+
+
+@pytest.mark.parametrize("s1,s2,mode,small,covering", [
+    # for each row some stage gives 0 at both sizes the stabilization check
+    # compares, while the true value is 1
+    ("1,1,1/0", "1,1,1/0", BINARY, (1, 1), (3, 1)),
+    ("0/0", "1,1,1/1,1,1", BINARY, (1, 1), (3, 1)),
+    ("0/0", "1,1,1/1,1,1", INTEGRAL, (1, 1), (1, 3)),
+    ("1/0", "1,1,1/1,1", INTEGRAL, (1, 1), (1, 3)),
+])
+def test_box_must_cover_both_targets(s1, s2, mode, small, covering):
+    s1, s2 = SkewShape.parse(s1), SkewShape.parse(s2)
+    for stage in STAGES:
+        with pytest.raises(BoxTooSmall, match="does not cover"):
+            alternating_sum(s1, s2, stage, mode, small)
+        assert alternating_sum(s1, s2, stage, mode, covering) == 1
+
+
+def test_covering_box_gives_lr_count():
+    shapes = all_skew(5)
+    for s1 in shapes:
+        for s2 in shapes:
+            if s1.weight != s2.weight:
+                continue
+            for mode in (BINARY, INTEGRAL):
+                box = tuple(max(side, 1) for side in _least_box(s1, s2, mode))
+                want = lr_count(s1, s2, mode)
+                for stage in STAGES:
+                    assert _stage_value(s1, s2, stage, mode, box) == want, (
+                        str(s1), str(s2), mode, stage)
+
+
+@pytest.mark.parametrize("box", [(0, 0), (-1, 3), (3, 0), (3,), (1, 2, 3), (2.0, 2), ("2", 2), 6])
+def test_malformed_box_is_a_usage_error(box):
+    with pytest.raises(UsageError, match="box must be two integers of at least 1"):
+        alternating_sum(SkewShape((2, 1)), SkewShape((2, 1)), BRUTE, BINARY, box)
 
 
 def test_edge_symbol_random_pairs():

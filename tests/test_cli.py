@@ -174,3 +174,51 @@ def test_bad_index_bound_and_opposite_directions_exit_2(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("box,message", [
+    ("-1,3", "box must be two integers of at least 1, got (-1, 3)"),
+    ("0,0", "box must be two integers of at least 1, got (0, 0)"),
+    ("3", "box must be two integers of at least 1, got (3,)"),
+    ("a,b", "--box must be rows,cols, got 'a,b'"),
+])
+def test_malformed_box_exit_2(capsys, box, message):
+    rc = run(["scalar", "--mode", "binary", "--stage", "brute",
+              "--shape1", "2,1/0", "--shape2", "2,1/0", f"--box={box}"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_box_not_covering_targets_exit_1(capsys):
+    rc = run(["scalar", "--mode", "binary", "--stage", "brute",
+              "--shape1", "1,1,1", "--shape2", "1,1,1", "--box", "1,1"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == ("error: box (1, 1) does not cover the targets of 1,1,1/0 and "
+                   "1,1,1/0; binary needs at least (3, 1)\n")
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["normal-form"], '{"rows": [[1]]}', "JSON input lacks key 'mode'"),
+    (["normal-form"], '{"mode": "binary", "rows": 5}',
+     "JSON key 'rows' must be a list of lists of integers, got 5"),
+    (["normal-form"], '{"mode": "binary", "rows": [[1, "a"]]}',
+     "JSON key 'rows' must be a list of lists of integers, got [[1, 'a']]"),
+    (["normal-form"], '{"mode": "ternary", "rows": [[1]]}',
+     "JSON key 'mode' must be 'binary' or 'integral', got 'ternary'"),
+    (["dual"], '{"chain": [[1]]}', "JSON input lacks key 'flavor'"),
+    (["dual"], '{"flavor": "sst", "chain": [[1], 2]}',
+     "JSON key 'chain' must be a list of partitions (lists of integers), got [[1], 2]"),
+    (["pictures", "validate", "--dom", "2,1/0", "--cod", "2,1/0", "--map"],
+     "0,0 -> 0,1\n0,0 0,1\n", "map line 2: expected 'row,col -> row,col', got '0,0 0,1'"),
+    (["pictures", "validate", "--dom", "2,1/0", "--cod", "2,1/0", "--map"],
+     "0,x -> 0,1\n", "map line 1: expected 'row,col -> row,col', got '0,x -> 0,1'"),
+])
+def test_malformed_input_exit_1(tmp_path, capsys, argv, text, message):
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    assert run(argv + [str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"

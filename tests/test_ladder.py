@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from doublecrystal import crystal_binary as cb
 from doublecrystal import crystal_integral as ci
-from doublecrystal.crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP, MoveRecord
-from doublecrystal.crystal_integral import TransferRecord
+from doublecrystal.crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP
 from doublecrystal.decomposition import UsageError, exhaust
 from doublecrystal.matrices import BinaryMatrix, IntegralMatrix
+from doublecrystal.verify import oracle_move
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -25,37 +25,6 @@ def matrices(draw, side=8):
     entry = st.integers(0, 1 if binary else 3)
     rows = draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h))
     return (BinaryMatrix if binary else IntegralMatrix)(rows)
-
-
-def oracle_move(m, d, index):
-    """One move found by the literal legality predicate; None when no
-    position is legal."""
-    vertical = d in (UP, DOWN)
-    raising = d in (UP, LEFT)
-    if m.binary:
-        want = (0, 1) if raising else (1, 0)
-        if vertical:
-            def legal(at):
-                return ((m[index, at], m[index + 1, at]) == want
-                        and cb.interchangeable(m, index, at, "vertical"))
-        else:
-            def legal(at):
-                return ((m[at, index], m[at, index + 1]) == want
-                        and cb.interchangeable(m, at, index, "horizontal"))
-    else:
-        def legal(at):
-            return ci.transfer_legal(m, "rows" if vertical else "cols", index, at,
-                                     1 if raising else -1)
-    ats = [at for at in range(m.width if vertical else m.height) if legal(at)]
-    assert len(ats) <= 1, (m, d, index, ats)
-    if not ats:
-        return None
-    at = ats[0]
-    first, second = ((index, at), (index + 1, at)) if vertical else ((at, index), (at, index + 1))
-    src, dst = (second, first) if raising else (first, second)
-    out = m.with_entry(*src, m[src] - 1).with_entry(*dst, m[dst] + 1)
-    rec = MoveRecord(d, index, src) if m.binary else TransferRecord(d, index, at)
-    return out, rec
 
 
 def oracle_exhaust(m, directions, bound=None):
