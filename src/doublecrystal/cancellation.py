@@ -23,6 +23,7 @@ from .crystal_binary import DOWN, LEFT, RIGHT, UP
 from .decomposition import UsageError
 from .matrices import (
     BINARY,
+    INTEGRAL,
     LR,
     TABLEAU,
     BinaryMatrix,
@@ -287,11 +288,15 @@ def alternating_sum(shape1: SkewShape, shape2: SkewShape, stage: str, mode: str,
     """Evaluate one of the alternating-sum expressions over all matrices of
     the mode supported in the box.
 
-    Raises UsageError unless box is two integers of at least 1.  For shapes
-    of equal weight, raises BoxTooSmall unless the box covers both targets
-    (see _least_box), and also unless the value is unchanged when the box
-    grows by one row and one column.
+    Raises UsageError for an unknown stage or mode, and unless box is two
+    integers of at least 1.  For shapes of equal weight, raises BoxTooSmall
+    unless the box covers both targets (see _least_box), and also unless the
+    value is unchanged when the box grows by one row and one column.
     """
+    if stage not in STAGES:
+        raise UsageError(f"unknown stage: {stage!r}")
+    if mode not in (BINARY, INTEGRAL):
+        raise UsageError(f"unknown mode: {mode!r}")
     if (not isinstance(box, (tuple, list)) or len(box) != 2
             or any(type(x) is not int or x < 1 for x in box)):
         raise UsageError(f"box must be two integers of at least 1, got {box!r}")

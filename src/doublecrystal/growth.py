@@ -8,6 +8,9 @@ against direct normalization.
 """
 
 from dataclasses import dataclass
+from itertools import compress, count
+from math import inf
+from operator import add, lt, sub
 
 from .decomposition import normal_form
 from .matrices import BinaryMatrix, IntegralMatrix, Matrix
@@ -15,9 +18,9 @@ from .shapes import (
     HORIZONTAL,
     VERTICAL,
     Partition,
-    conjugate,
     contains,
     is_partition,
+    padded,
     part,
     revert,
     strip_le,
@@ -59,16 +62,19 @@ def burge_forward(lam, mu, nu, m: int, with_trace: bool = False):
     if not (strip_le(lam, mu, HORIZONTAL) and strip_le(lam, nu, HORIZONTAL)):
         raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
     start = max(len(lam), len(mu), len(nu))
+    lp = padded(lam, start + 1)
+    # gain[i] = mu_i + nu_i - lam_i
+    gain = tuple(map(sub, map(add, padded(mu, start + 1), padded(nu, start + 1)), lp))
     c = m
     kappa = [0] * (start + 1)
     trace = []
     for i in range(start, 0, -1):
-        d = part(mu, i) + part(nu, i) - part(lam, i) + c
-        kappa[i] = min(d, part(lam, i - 1))
-        c = d - kappa[i]
-        if trace or kappa[i] != 0 or d != c:
-            trace.append((d, kappa[i], c))
-    kappa[0] = part(mu, 0) - part(lam, 0) + c + part(nu, 0)
+        d = gain[i] + c
+        k = kappa[i] = d if d < lp[i - 1] else lp[i - 1]
+        c = d - k
+        if trace or k != 0 or d != c:
+            trace.append((d, k, c))
+    kappa[0] = gain[0] + c
     result = trim(kappa)
     if with_trace:
         return result, tuple(trace)
@@ -107,14 +113,12 @@ def rsk_forward(lam, mu, nu, m: int) -> Partition:
     if not (strip_le(lam, mu, HORIZONTAL) and strip_le(lam, nu, HORIZONTAL)):
         raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
     n = max(len(mu), len(nu)) + 1
-    kappa = [m + max(part(mu, 0), part(nu, 0))]
-    for i in range(n):
-        kappa.append(
-            min(part(nu, i), part(mu, i))
-            - part(lam, i)
-            + max(part(mu, i + 1), part(nu, i + 1))
-        )
-    return trim(kappa)
+    mu_nu = tuple(zip(padded(mu, n + 1), padded(nu, n + 1)))
+    lows = [a if a < b else b for a, b in mu_nu]
+    tops = [b if a < b else a for a, b in mu_nu]
+    # kappa_{i+1} = min(mu_i, nu_i) - lam_i + max(mu_{i+1}, nu_{i+1}), i < n
+    rest = map(add, map(sub, lows, padded(lam, n)), tops[1:])
+    return trim((m + tops[0], *rest))
 
 
 def rsk_backward(mu, nu, kappa) -> tuple[Partition, int]:
@@ -142,24 +146,19 @@ def rsk_backward(mu, nu, kappa) -> tuple[Partition, int]:
 
 
 def _optional_squares(mu, nu):
-    """The optional-square sets (S, T, t0) of the binary shape datum.
+    """The optional-square sets (S, T) of the binary shape datum for trimmed
+    partitions mu, nu.
 
     S consists of the squares that end both a row of mu and a column of nu
     (optional for lam); T of the squares just past both a column of mu and
     a row of nu (optional for kappa).  |T| = |S| + 1 always.
     """
-    mu, nu = trim(mu), trim(nu)
-    mu_t, nu_t = conjugate(mu), conjugate(nu)
-    s_set = []
-    for i in range(len(mu)):
-        j = mu[i] - 1
-        if part(nu_t, j) - 1 == i:
-            s_set.append((i, j))
-    t_set = []
-    for i in range(max(len(nu), len(mu)) + 1):
-        j = part(nu, i)
-        if part(mu_t, j) == i:
-            t_set.append((i, j))
+    n = max(len(mu), len(nu)) + 1
+    mp, np_ = padded(mu, n), padded(nu, n + 1)
+    # S: (i, mu_i - 1) with nu_i >= mu_i > nu_{i+1}
+    s_set = [(i, m - 1) for i, m, a, b in zip(count(), mu, np_, np_[1:]) if a >= m > b]
+    # T: (i, nu_i) with mu_i <= nu_i < mu_{i-1}, where mu_{-1} is infinite
+    t_set = [(i, b) for i, a, m, b in zip(count(), (inf,) + mp, mp, np_) if m <= b < a]
     if len(t_set) != len(s_set) + 1:
         raise ShapeDatumError(
             f"optional square sets of sizes {len(s_set)}, {len(t_set)} for {mu}, {nu}"
@@ -168,42 +167,48 @@ def _optional_squares(mu, nu):
 
 
 def _match_optional(s_set, t_set, flavor):
-    """Injective matching S -> T; returns (pairs dict, unmatched t0)."""
+    """Injective matching S -> T; returns (pairs dict, unmatched t0).
+
+    S and T hold at most one square per row and list them by increasing
+    row, hence by decreasing column.
+    """
     pairs = {}
-    used = set()
+    k = 0
     if flavor == ROW_INSERTION:
-        # each s matches the first t in a row strictly below it
+        # each s matches the first t in a row strictly below it; the t's
+        # skipped on the way lie in rows no later s can reach
+        rest = []
         for s in s_set:
-            cands = [t for t in t_set if t[0] > s[0] and t not in used]
-            if not cands:
+            while k < len(t_set) and t_set[k][0] <= s[0]:
+                rest.append(t_set[k])
+                k += 1
+            if k == len(t_set):
                 raise ShapeDatumError(f"no match below optional square {s}")
-            t = min(cands, key=lambda t: t[0])
+            t = t_set[k]
+            k += 1
             if t[1] > s[1]:
                 raise ShapeDatumError(f"matched square {t} not weakly left of {s}")
             pairs[s] = t
-            used.add(t)
     elif flavor == COL_INSERTION:
-        # each s matches the first t in a column strictly to its right
+        # each s matches the first t in a column strictly to its right: the
+        # t's right of s, unused, are stacked with the nearest on top
+        rest = []
         for s in s_set:
-            cands = [t for t in t_set if t[1] > s[1] and t not in used]
-            if not cands:
+            while k < len(t_set) and t_set[k][1] > s[1]:
+                rest.append(t_set[k])
+                k += 1
+            if not rest:
                 raise ShapeDatumError(f"no match right of optional square {s}")
-            t = min(cands, key=lambda t: t[1])
+            t = rest.pop()
             if t[0] > s[0]:
                 raise ShapeDatumError(f"matched square {t} not weakly above {s}")
             pairs[s] = t
-            used.add(t)
     else:
         raise ValueError(f"unknown flavor: {flavor}")
-    rest = [t for t in t_set if t not in used]
+    rest += t_set[k:]
     if len(rest) != 1:
         raise ShapeDatumError(f"matching left {len(rest)} unmatched squares")
     return pairs, rest[0]
-
-
-def _cell_in(shape, cell) -> bool:
-    i, j = cell
-    return j < part(shape, i)
 
 
 def _add_cells(base, cells) -> Partition:
@@ -233,19 +238,23 @@ def dual_forward(lam, mu, nu, bit: int, flavor: str) -> Partition:
     if not (strip_le(lam, mu, VERTICAL) and strip_le(lam, nu, HORIZONTAL)):
         raise ShapeDatumError(f"need lam <=v mu and lam <=h nu: {lam}, {mu}, {nu}")
     s_set, t_set = _optional_squares(mu, nu)
-    meet = tuple(min(part(mu, i), part(nu, i)) for i in range(max(len(mu), len(nu))))
+    n = max(len(mu), len(nu))
+    lp, mu_nu = padded(lam, n), tuple(zip(padded(mu, n), padded(nu, n)))
+    meet = [a if a < b else b for a, b in mu_nu]
     for s in s_set:
-        if not _cell_in(meet, s):
+        if s[1] >= meet[s[0]]:
             raise ShapeDatumError(f"optional square {s} outside mu meet nu")
-    obligatory = [s for s in s_set if not _cell_in(lam, s)]
+    obligatory = [s for s in s_set if s[1] >= lp[s[0]]]
     if not contains(lam, meet):
         raise ShapeDatumError(f"lam = {lam} not contained in mu meet nu")
-    for i in range(len(meet)):
-        for j in range(part(lam, i), part(meet, i)):
-            if (i, j) not in s_set:
-                raise ShapeDatumError(f"obligatory square {(i, j)} missing from lam")
+    # every square of meet / lam must be optional; S has at most one per row
+    s_col = dict(s_set)
+    for i in compress(count(), map(lt, lp, meet)):
+        j = lp[i] + 1 if s_col.get(i) == lp[i] else lp[i]
+        if j < meet[i]:
+            raise ShapeDatumError(f"obligatory square {(i, j)} missing from lam")
     pairs, t0 = _match_optional(s_set, t_set, flavor)
-    join = tuple(max(part(mu, i), part(nu, i)) for i in range(max(len(mu), len(nu))))
+    join = [b if a < b else a for a, b in mu_nu]
     new_cells = [pairs[s] for s in obligatory]
     if bit:
         new_cells.append(t0)

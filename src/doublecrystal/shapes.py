@@ -6,7 +6,8 @@ tuples (no trailing zeros), and accept untrimmed input.
 """
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import starmap, zip_longest
+import operator
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -23,7 +24,7 @@ VERTICAL = "vertical"
 
 def trim(parts) -> Composition:
     """Canonical form: drop trailing zeros."""
-    parts = tuple(int(x) for x in parts)
+    parts = tuple(map(int, parts))
     n = len(parts)
     while n > 0 and parts[n - 1] == 0:
         n -= 1
@@ -35,15 +36,18 @@ def part(alpha, i: int) -> int:
     return alpha[i] if 0 <= i < len(alpha) else 0
 
 
-def is_composition(alpha) -> bool:
-    return all(isinstance(x, int) and x >= 0 for x in alpha)
+def padded(alpha, n: int) -> Composition:
+    """(part(alpha, 0), ..., part(alpha, n - 1)) as a tuple."""
+    return tuple(alpha[:n]) + (0,) * (n - len(alpha))
+
+
+def _is_trimmed_partition(alpha) -> bool:
+    # a weakly decreasing tuple is nonnegative iff its last part is
+    return all(map(operator.ge, alpha, alpha[1:])) and (not alpha or alpha[-1] >= 0)
 
 
 def is_partition(alpha) -> bool:
-    alpha = trim(alpha)
-    return is_composition(alpha) and all(
-        alpha[i] >= alpha[i + 1] for i in range(len(alpha) - 1)
-    )
+    return _is_trimmed_partition(trim(alpha))
 
 
 def size(alpha) -> int:
@@ -66,17 +70,22 @@ def sub(alpha, beta) -> Composition:
 
 def contains(inner, outer) -> bool:
     """Diagram containment: inner[i] <= outer[i] for all i."""
-    return all(a <= b for a, b in zip_longest(inner, outer, fillvalue=0))
+    return all(starmap(operator.le, zip_longest(inner, outer, fillvalue=0)))
 
 
 def conjugate(lam) -> Partition:
     """Transpose of the Young diagram: result[j] = #{i : lam[i] > j}."""
     lam = trim(lam)
-    if not is_partition(lam):
+    if not _is_trimmed_partition(lam):
         raise ValueError(f"not a partition: {lam}")
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+    out = []
+    i = len(lam)
+    for j in range(lam[0] if lam else 0):
+        # i falls from l(lam) to 1: the number of rows longer than j
+        while lam[i - 1] <= j:
+            i -= 1
+        out.append(i)
+    return tuple(out)
 
 
 def strip_le(alpha, beta, kind: str) -> bool:
@@ -87,17 +96,15 @@ def strip_le(alpha, beta, kind: str) -> bool:
     beta - alpha is a 0/1 composition with containment.
     """
     if kind == HORIZONTAL:
-        n = max(len(alpha), len(beta)) + 1
-        return all(
-            part(beta, i + 1) <= part(alpha, i) <= part(beta, i) for i in range(n)
-        )
+        n = max(len(alpha), len(beta))
+        a, b = padded(alpha, n), padded(beta, n + 1)
+        return all(map(operator.le, a, b)) and all(map(operator.le, b[1:], a))
     if kind == VERTICAL:
         if not (is_partition(alpha) and is_partition(beta)):
             return False
-        return all(
-            0 <= part(beta, i) - part(alpha, i) <= 1
-            for i in range(max(len(alpha), len(beta)))
-        )
+        n = max(len(alpha), len(beta))
+        d = tuple(map(operator.sub, padded(beta, n), padded(alpha, n)))
+        return not d or (0 <= min(d) and max(d) <= 1)
     raise ValueError(f"unknown strip kind: {kind}")
 
 

@@ -98,8 +98,11 @@ def oracle_move(m, d, index):
 
 
 def suite_moves(rng):
-    """move defined iff potential > 0; opposite moves invert; at most one
-    move per direction and pair."""
+    """move defined iff potential > 0; opposite moves invert.
+
+    Both read the kernel's one bracket scan, so a second legal position is
+    not looked for here: suite_potentials counts moves with oracle_move,
+    which raises when more than one position is legal."""
     for _ in range(150):
         m = _random_matrix(rng, rng.random() < 0.5)
         for d in DIRECTIONS:

@@ -1,7 +1,10 @@
 """Shared golden data: the running tableau, its encodings, and the
-matrices of the worked decomposition examples."""
+matrices of the worked decomposition examples; and `outcome`, which the
+oracle comparisons use; `matrices`, the hypothesis strategy of small
+binary and integral matrices."""
 
 import pytest
+from hypothesis import strategies as st
 
 from doublecrystal import BinaryMatrix, IntegralMatrix, SST, Tableau
 
@@ -119,3 +122,21 @@ M2X9 = IntegralMatrix([
 @pytest.fixture
 def running_tableau():
     return Tableau(SST, T_CHAIN)
+
+
+def outcome(fn, *args):
+    """The return value, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # the comparison is the point
+        return type(e), str(e)
+
+
+@st.composite
+def matrices(draw, side=8):
+    binary = draw(st.booleans())
+    h = draw(st.integers(0, side))
+    w = draw(st.integers(0, side))
+    entry = st.integers(0, 1 if binary else 3)
+    rows = draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h))
+    return (BinaryMatrix if binary else IntegralMatrix)(rows)

@@ -342,6 +342,16 @@ def test_malformed_box_is_a_usage_error(box):
         alternating_sum(SkewShape((2, 1)), SkewShape((2, 1)), BRUTE, BINARY, box)
 
 
+@pytest.mark.parametrize("stage,mode,message", [
+    (BRUTE, "banana", "unknown mode: 'banana'"),
+    ("banana", BINARY, "unknown stage: 'banana'"),
+])
+def test_unknown_stage_or_mode_is_a_usage_error(stage, mode, message):
+    # a box of 0 would be rejected too: the stage and mode are checked first
+    with pytest.raises(UsageError, match=message):
+        alternating_sum(SkewShape((2, 1)), SkewShape((2, 1)), stage, mode, (0, 0))
+
+
 def test_edge_symbol_random_pairs():
     rng = random.Random(31)
     lams = list(partitions_up_to(8))

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from doublecrystal.decomposition import exhaust
 from doublecrystal.crystal_binary import DOWN, LEFT, RIGHT, UP
@@ -10,8 +12,12 @@ from doublecrystal.growth import (
     NW,
     ORIENTATIONS,
     ROW_INSERTION,
+    SE,
     SW,
     ShapeDatumError,
+    _add_cells,
+    _match_optional,
+    _optional_squares,
     burge_backward,
     burge_forward,
     dual_backward,
@@ -26,18 +32,23 @@ from doublecrystal.growth import (
     rsk_forward,
     sliced_form,
 )
+from doublecrystal.insertion import burge, dual_rsk_col
 from doublecrystal.matrices import BinaryMatrix, IntegralMatrix
 from doublecrystal.shapes import (
     HORIZONTAL,
     VERTICAL,
     conjugate,
+    contains,
+    is_partition,
+    part,
     partitions_up_to,
     revert,
     size,
     strip_le,
+    trim,
 )
 
-from conftest import M_BIN, M_INT
+from conftest import M_BIN, M_INT, matrices, outcome
 
 
 def test_implicit_shape_examples():
@@ -259,3 +270,180 @@ def test_dual_datum_dispatcher():
                       nu=(6, 3, 2, 2), bit=1) == (7, 4, 3, 2, 1, 1)
     assert dual_datum(ROW_INSERTION, BACKWARD, mu=(6, 3, 3, 1, 1),
                       nu=(6, 3, 2, 2), kappa=(7, 4, 3, 2, 1, 1)) == ((5, 3, 2), 1)
+
+
+# The literal binary shape datum, kept as an oracle: optional squares read
+# off the conjugates, a scan of T per square of S, and the obligatory
+# squares looked up cell by cell; _add_cells is shared.
+
+
+def oracle_optional_squares(mu, nu):
+    mu, nu = trim(mu), trim(nu)
+    mu_t, nu_t = conjugate(mu), conjugate(nu)
+    s_set = []
+    for i in range(len(mu)):
+        j = mu[i] - 1
+        if part(nu_t, j) - 1 == i:
+            s_set.append((i, j))
+    t_set = []
+    for i in range(max(len(nu), len(mu)) + 1):
+        j = part(nu, i)
+        if part(mu_t, j) == i:
+            t_set.append((i, j))
+    if len(t_set) != len(s_set) + 1:
+        raise ShapeDatumError(
+            f"optional square sets of sizes {len(s_set)}, {len(t_set)} for {mu}, {nu}"
+        )
+    return s_set, t_set
+
+
+def oracle_match_optional(s_set, t_set, flavor):
+    pairs = {}
+    used = set()
+    if flavor == ROW_INSERTION:
+        for s in s_set:
+            cands = [t for t in t_set if t[0] > s[0] and t not in used]
+            if not cands:
+                raise ShapeDatumError(f"no match below optional square {s}")
+            t = min(cands, key=lambda t: t[0])
+            if t[1] > s[1]:
+                raise ShapeDatumError(f"matched square {t} not weakly left of {s}")
+            pairs[s] = t
+            used.add(t)
+    elif flavor == COL_INSERTION:
+        for s in s_set:
+            cands = [t for t in t_set if t[1] > s[1] and t not in used]
+            if not cands:
+                raise ShapeDatumError(f"no match right of optional square {s}")
+            t = min(cands, key=lambda t: t[1])
+            if t[0] > s[0]:
+                raise ShapeDatumError(f"matched square {t} not weakly above {s}")
+            pairs[s] = t
+            used.add(t)
+    else:
+        raise ValueError(f"unknown flavor: {flavor}")
+    rest = [t for t in t_set if t not in used]
+    if len(rest) != 1:
+        raise ShapeDatumError(f"matching left {len(rest)} unmatched squares")
+    return pairs, rest[0]
+
+
+def oracle_dual_forward(lam, mu, nu, bit, flavor):
+    lam, mu, nu = trim(lam), trim(mu), trim(nu)
+    if bit not in (0, 1):
+        raise ShapeDatumError("bit must be 0 or 1")
+    if not (strip_le(lam, mu, VERTICAL) and strip_le(lam, nu, HORIZONTAL)):
+        raise ShapeDatumError(f"need lam <=v mu and lam <=h nu: {lam}, {mu}, {nu}")
+    s_set, t_set = oracle_optional_squares(mu, nu)
+    meet = tuple(min(part(mu, i), part(nu, i)) for i in range(max(len(mu), len(nu))))
+    for i, j in s_set:
+        if not j < part(meet, i):
+            raise ShapeDatumError(f"optional square {(i, j)} outside mu meet nu")
+    obligatory = [(i, j) for i, j in s_set if not j < part(lam, i)]
+    if not contains(lam, meet):
+        raise ShapeDatumError(f"lam = {lam} not contained in mu meet nu")
+    for i in range(len(meet)):
+        for j in range(part(lam, i), part(meet, i)):
+            if (i, j) not in s_set:
+                raise ShapeDatumError(f"obligatory square {(i, j)} missing from lam")
+    pairs, t0 = oracle_match_optional(s_set, t_set, flavor)
+    join = tuple(max(part(mu, i), part(nu, i)) for i in range(max(len(mu), len(nu))))
+    new_cells = [pairs[s] for s in obligatory]
+    if bit:
+        new_cells.append(t0)
+    new_cells.sort(key=lambda t: t[1])
+    return _add_cells(join, new_cells)
+
+
+def oracle_dual_backward(mu, nu, kappa, flavor):
+    mu, nu, kappa = trim(mu), trim(nu), trim(kappa)
+    if not (strip_le(mu, kappa, HORIZONTAL) and strip_le(nu, kappa, VERTICAL)):
+        raise ShapeDatumError(f"need mu <=h kappa and nu <=v kappa: {mu}, {nu}, {kappa}")
+    s_set, t_set = oracle_optional_squares(mu, nu)
+    pairs, t0 = oracle_match_optional(s_set, t_set, flavor)
+    join = tuple(max(part(mu, i), part(nu, i)) for i in range(max(len(mu), len(nu))))
+    if not contains(join, kappa):
+        raise ShapeDatumError(f"kappa = {kappa} missing obligatory squares")
+    extra = [(i, j) for i in range(len(kappa)) for j in range(part(join, i), part(kappa, i))]
+    for cell in extra:
+        if cell != t0 and cell not in pairs.values():
+            raise ShapeDatumError(f"kappa has non-optional extra square {cell}")
+    bit = 1 if t0 in extra else 0
+    meet = tuple(min(part(mu, i), part(nu, i)) for i in range(max(len(mu), len(nu))))
+    removed = [s for s, t in pairs.items() if t in extra]
+    lam_rows = list(meet)
+    for i, j in sorted(removed, reverse=True):
+        if lam_rows[i] != j + 1:
+            raise ShapeDatumError(f"cannot remove optional square {(i, j)}")
+        lam_rows[i] = j
+    lam = trim(lam_rows)
+    if not is_partition(lam):
+        raise ShapeDatumError(f"backward datum produced a non-partition: {lam}")
+    if oracle_dual_forward(lam, mu, nu, bit, flavor) != kappa:
+        raise ShapeDatumError("backward datum does not invert the forward datum")
+    return lam, bit
+
+
+FLAVORS = (ROW_INSERTION, COL_INSERTION)
+
+
+def test_optional_squares_and_matching_match_oracle():
+    sets = []
+    for mu, nu in itertools.product(partitions_up_to(6), repeat=2):
+        got = outcome(_optional_squares, mu, nu)
+        assert got == outcome(oracle_optional_squares, mu, nu)
+        if not isinstance(got[0], type):
+            sets.append(got)
+    # squares in increasing rows and decreasing columns, as _optional_squares
+    # lists them, but in any number: each rejection of the matching shows up
+    chains = [list(zip(rows, sorted(cols, reverse=True)))
+              for k in range(4) for rows in itertools.combinations(range(4), k)
+              for cols in itertools.combinations(range(4), k)]
+    sets += list(itertools.product(chains, repeat=2))
+    for s_set, t_set in sets:
+        for flavor in FLAVORS + ("diagonal",):
+            assert outcome(_match_optional, s_set, t_set, flavor) == outcome(
+                oracle_match_optional, s_set, t_set, flavor
+            )
+
+
+def test_dual_data_match_oracle():
+    # every valid input up to size 6, then every triple up to size 4 with
+    # the message of each rejection
+    parts = list(partitions_up_to(6))
+    valid = [(lam, mu, nu) for lam, mu, nu in itertools.product(parts, repeat=3)
+             if strip_le(lam, mu, VERTICAL) and strip_le(lam, nu, HORIZONTAL)]
+    small = list(itertools.product(partitions_up_to(4), repeat=3))
+    for triple in valid + small:
+        for bit, flavor in itertools.product((0, 1, 2), FLAVORS):
+            assert outcome(dual_forward, *triple, bit, flavor) == outcome(
+                oracle_dual_forward, *triple, bit, flavor
+            )
+    images = [(mu, nu, kappa) for mu, nu, kappa in itertools.product(parts, repeat=3)
+              if strip_le(mu, kappa, HORIZONTAL) and strip_le(nu, kappa, VERTICAL)]
+    for triple in images + small:
+        for flavor in FLAVORS:
+            assert outcome(dual_backward, *triple, flavor) == outcome(
+                oracle_dual_backward, *triple, flavor
+            )
+
+
+GROWTH_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@GROWTH_SETTINGS
+@given(matrices(8))
+def test_growth_matches_normalization_property(m):
+    for o in ORIENTATIONS:
+        growth_diagram(m, o, verify=True)
+
+
+@GROWTH_SETTINGS
+@given(matrices(24))
+def test_growth_corner_matches_insertion_property(m):
+    mt = m.trimmed()
+    shape = (dual_rsk_col(mt) if mt.binary else burge(mt))[0].outer
+    h, w = mt.height, mt.width
+    corners = {NW: (h, w), NE: (h, 0), SW: (0, w), SE: (0, 0)}
+    for o, (i, j) in corners.items():
+        assert growth_diagram(mt, o).grid[i][j] == shape

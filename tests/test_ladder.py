@@ -14,17 +14,9 @@ from doublecrystal.decomposition import UsageError, exhaust
 from doublecrystal.matrices import BinaryMatrix, IntegralMatrix
 from doublecrystal.verify import oracle_move
 
+from conftest import matrices
+
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
-
-
-@st.composite
-def matrices(draw, side=8):
-    binary = draw(st.booleans())
-    h = draw(st.integers(0, side))
-    w = draw(st.integers(0, side))
-    entry = st.integers(0, 1 if binary else 3)
-    rows = draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h))
-    return (BinaryMatrix if binary else IntegralMatrix)(rows)
 
 
 def oracle_exhaust(m, directions, bound=None):

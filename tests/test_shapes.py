@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,9 @@ from doublecrystal.shapes import (
     Tableau,
     conjugate,
     format_partition,
+    is_partition,
     parse_partition,
+    part,
     partitions_of,
     partitions_up_to,
     revert,
@@ -22,7 +26,7 @@ from doublecrystal.shapes import (
     trim,
 )
 
-from conftest import T_CHAIN
+from conftest import T_CHAIN, outcome
 
 
 @st.composite
@@ -135,3 +139,59 @@ def test_skew_shape():
 def test_trim_and_equality():
     assert trim((2, 1, 0, 0)) == (2, 1)
     assert Tableau(SST, ((0,), (2, 0))) == Tableau(SST, ((), (2,)))
+
+
+# The literal definitions, kept as oracles for the linear-time primitives.
+
+
+def oracle_is_partition(alpha):
+    alpha = trim(alpha)
+    return all(isinstance(x, int) and x >= 0 for x in alpha) and all(
+        alpha[i] >= alpha[i + 1] for i in range(len(alpha) - 1)
+    )
+
+
+def oracle_conjugate(lam):
+    lam = trim(lam)
+    if not oracle_is_partition(lam):
+        raise ValueError(f"not a partition: {lam}")
+    if not lam:
+        return ()
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+
+
+def oracle_strip_le(alpha, beta, kind):
+    if kind == HORIZONTAL:
+        n = max(len(alpha), len(beta)) + 1
+        return all(part(beta, i + 1) <= part(alpha, i) <= part(beta, i) for i in range(n))
+    if kind == VERTICAL:
+        if not (oracle_is_partition(alpha) and oracle_is_partition(beta)):
+            return False
+        return all(
+            0 <= part(beta, i) - part(alpha, i) <= 1 for i in range(max(len(alpha), len(beta)))
+        )
+    raise ValueError(f"unknown strip kind: {kind}")
+
+
+def test_primitives_match_oracles_on_partition_pairs():
+    lams = list(partitions_up_to(8))
+    for lam in lams:
+        assert conjugate(lam) == oracle_conjugate(lam)
+        assert is_partition(lam) and oracle_is_partition(lam)
+    for alpha, beta in itertools.product(lams, repeat=2):
+        for kind in (HORIZONTAL, VERTICAL):
+            assert strip_le(alpha, beta, kind) == oracle_strip_le(alpha, beta, kind)
+
+
+def test_primitives_match_oracles_on_compositions():
+    # untrimmed, unsorted and negative entries, as tuples and as lists
+    comps = [c for n in range(4) for c in itertools.product(range(-1, 4), repeat=n)]
+    comps += [list(c) for c in comps]
+    for alpha in comps:
+        assert outcome(conjugate, alpha) == outcome(oracle_conjugate, alpha)
+        assert is_partition(alpha) == oracle_is_partition(alpha)
+    for alpha, beta in itertools.product(comps[: len(comps) // 2], repeat=2):
+        for kind in (HORIZONTAL, VERTICAL, "diagonal"):
+            assert outcome(strip_le, alpha, beta, kind) == outcome(
+                oracle_strip_le, alpha, beta, kind
+            )
