@@ -120,35 +120,63 @@ def _steps(rows, d: str, index: int) -> list[int]:
     return steps
 
 
-def _take(steps: list, k: Optional[int]) -> list:
-    """The first k steps of a ladder; None means all of them."""
+def _take(runs: list, k: Optional[int]) -> list:
+    """The (at, n) runs of the first k units of a ladder; None means all."""
     if k is None:
-        return steps
-    if not 0 <= k <= len(steps):
-        raise ValueError(f"cannot apply {k} moves: the potential is {len(steps)}")
-    return steps[:k]
+        return runs
+    total = sum(n for _, n in runs)
+    if not 0 <= k <= total:
+        raise ValueError(f"cannot apply {k} moves: the potential is {total}")
+    out = []
+    for at, n in runs:
+        if k <= 0:
+            break
+        out.append((at, min(n, k)))
+        k -= n
+    return out
 
 
-def _shift(rows: list, d: str, index: int, steps: list[int]) -> list[tuple[int, int]]:
-    """Move one unit per step (the column of a row pair, the row of a
-    column pair) between lines index and index+1 in direction d, in place,
-    zero-padding the rows to the cells filled.  Returns the source cells."""
-    if steps and d == DOWN and len(rows) == index + 1:
-        rows.append([0] * len(rows[0]))
-    elif steps and d == RIGHT:
+def _shift(rows: list, d: str, index: int, runs: list) -> None:
+    """Move n units per (at, n) run (at: the column of a row pair, the row
+    of a column pair) between lines index and index+1 in direction d, in
+    place, zero-padding the rows to the cells filled.  Only the rows the
+    runs touch need be lists, unless a rightward run pads every row."""
+    if not runs:
+        return
+    if d in (UP, DOWN):
+        if d == DOWN and len(rows) == index + 1:
+            rows.append([0] * len(rows[0]))
+        src, dst = (rows[index + 1], rows[index]) if d == UP else (rows[index], rows[index + 1])
+        for at, n in runs:
+            src[at] -= n
+            dst[at] += n
+        return
+    if d == RIGHT and len(rows[0]) < index + 2:
         for r in rows:
             r.extend([0] * (index + 2 - len(r)))
-    sources = []
-    for at in steps:
-        if d in (UP, DOWN):
-            first, second = (index, at), (index + 1, at)
-        else:
-            first, second = (at, index), (at, index + 1)
-        src, dst = (second, first) if d in (UP, LEFT) else (first, second)
-        rows[src[0]][src[1]] -= 1
-        rows[dst[0]][dst[1]] += 1
-        sources.append(src)
-    return sources
+    src, dst = (index + 1, index) if d == LEFT else (index, index + 1)
+    for at, n in runs:
+        r = rows[at]
+        r[src] -= n
+        r[dst] += n
+
+
+def _moved(rows: tuple, d: str, index: int, runs: list) -> tuple:
+    """The rows (tuples) with the runs shifted, copying only the rows the
+    runs touch (every row when a rightward run pads them)."""
+    if not runs:
+        return rows
+    out = list(rows)
+    if d in (UP, DOWN):
+        touched = range(index, min(index + 2, len(out)))
+    elif d == RIGHT and len(out[0]) < index + 2:
+        touched = range(len(out))
+    else:
+        touched = [at for at, _ in runs]
+    for i in touched:
+        out[i] = list(out[i])
+    _shift(out, d, index, runs)
+    return tuple(map(tuple, out))
 
 
 def potential(m: BinaryMatrix, d: str, index: int) -> int:
@@ -157,10 +185,33 @@ def potential(m: BinaryMatrix, d: str, index: int) -> int:
     return len(_steps(m.rows, d, index))
 
 
+def _runs(rows, d: str, index: int) -> list[tuple[int, int]]:
+    """`_steps` as (at, 1) runs, the form `_shift` takes."""
+    return [(at, 1) for at in _steps(rows, d, index)]
+
+
+def _records(d: str, index: int, runs: list) -> list[MoveRecord]:
+    """One record per move: the cell of the bit '1' before it."""
+    if d == UP:
+        return [MoveRecord(d, index, (index + 1, at)) for at, _ in runs]
+    if d == DOWN:
+        return [MoveRecord(d, index, (index, at)) for at, _ in runs]
+    if d == LEFT:
+        return [MoveRecord(d, index, (at, index + 1)) for at, _ in runs]
+    return [MoveRecord(d, index, (at, index)) for at, _ in runs]
+
+
+def ladder_runs(rows: list, d: str, index: int, k: Optional[int] = None) -> list[tuple[int, int]]:
+    """`ladder` in place on a list of row lists; returns the (at, n) runs
+    moved in move order, at the column (row pairs) or row (column pairs)."""
+    runs = _take(_runs(rows, d, index), k)
+    _shift(rows, d, index, runs)
+    return runs
+
+
 def ladder_rows(rows: list, d: str, index: int, k: Optional[int] = None) -> list[MoveRecord]:
     """`ladder` in place on a list of row lists; returns the records."""
-    steps = _take(_steps(rows, d, index), k)
-    return [MoveRecord(d, index, src) for src in _shift(rows, d, index, steps)]
+    return _records(d, index, ladder_runs(rows, d, index, k))
 
 
 def ladder(
@@ -174,17 +225,17 @@ def ladder(
     ladder(m, d, index, k=1).  Raises ValueError when k exceeds the
     potential or index is negative.
     """
-    rows = [list(r) for r in m.rows]
-    records = tuple(ladder_rows(rows, d, index, k))
-    return BinaryMatrix._wrap(tuple(map(tuple, rows))), records
+    runs = _take(_runs(m.rows, d, index), k)
+    return BinaryMatrix._wrap(_moved(m.rows, d, index, runs)), tuple(_records(d, index, runs))
 
 
 def move(m: BinaryMatrix, d: str, index: int) -> Optional[tuple[BinaryMatrix, MoveRecord]]:
     """Apply one raising/lowering move; None when none is possible."""
-    if not potential(m, d, index):
+    steps = _steps(m.rows, d, index)
+    if not steps:
         return None
-    out, (rec,) = ladder(m, d, index, 1)
-    return out, rec
+    runs = [(steps[0], 1)]
+    return BinaryMatrix._wrap(_moved(m.rows, d, index, runs)), _records(d, index, runs)[0]
 
 
 def paren_profile(m: BinaryMatrix, orientation: str, index: int):

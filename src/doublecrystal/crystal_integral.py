@@ -13,7 +13,7 @@ independent check.
 
 from typing import NamedTuple, Optional
 
-from .crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP, _shift, _take
+from .crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP, _moved, _shift, _take
 from .matrices import IntegralMatrix
 
 ROWS = "rows"
@@ -81,24 +81,32 @@ def _units(rows, axis: str, index: int) -> list[tuple[int, int]]:
     raise ValueError(f"unknown axis: {axis}")
 
 
-def _match(units) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Unmatched brackets, each ')' matching the nearest unmatched '('
-    before it: [step, count] of the '(' and (step, count) of the ')'."""
-    opens, closes = [], []
+def _closes(units) -> list[tuple[int, int]]:
+    """(step, count) of the unmatched ')', left to right: each ')' matches
+    the nearest unmatched '(' before it, so only their number matters."""
+    depth, closes = 0, []
     for step, (c, o) in enumerate(units):
-        while c and opens:
-            top = opens[-1]
-            if top[1] > c:
-                top[1] -= c
-                c = 0
-            else:
-                c -= top[1]
-                opens.pop()
-        if c:
-            closes.append((step, c))
-        if o:
-            opens.append([step, o])
-    return opens, closes
+        if c > depth:
+            closes.append((step, c - depth))
+            depth = o
+        else:
+            depth += o - c
+    return closes
+
+
+def _opens(units) -> list[tuple[int, int]]:
+    """(step, count) of the unmatched '(', left to right: the scan of
+    `_closes` read backwards."""
+    depth, opens = 0, []
+    for step in range(len(units) - 1, -1, -1):
+        c, o = units[step]
+        if o > depth:
+            opens.append((step, o - depth))
+            depth = c
+        else:
+            depth += c - o
+    opens.reverse()
+    return opens
 
 
 def _runs(rows, d: str, index: int) -> list:
@@ -107,8 +115,8 @@ def _runs(rows, d: str, index: int) -> list:
     right, lowering moves the unmatched '(' from the left."""
     if d not in DIRECTIONS:
         raise ValueError(f"unknown direction: {d}")
-    opens, closes = _match(_units(rows, ROWS if d in (UP, DOWN) else COLS, index))
-    return closes[::-1] if d in (UP, LEFT) else opens
+    units = _units(rows, ROWS if d in (UP, DOWN) else COLS, index)
+    return _closes(units)[::-1] if d in (UP, LEFT) else _opens(units)
 
 
 def potential(m: IntegralMatrix, d: str, index: int) -> int:
@@ -117,11 +125,23 @@ def potential(m: IntegralMatrix, d: str, index: int) -> int:
     return sum(n for _, n in _runs(m.rows, d, index))
 
 
+def _records(d: str, index: int, runs: list) -> list[TransferRecord]:
+    """One record per unit transferred."""
+    return [TransferRecord(d, index, at) for at, n in runs for _ in range(n)]
+
+
+def ladder_runs(rows: list, d: str, index: int, k: Optional[int] = None) -> list[tuple[int, int]]:
+    """`ladder` in place on a list of row lists; returns the (at, units)
+    runs transferred in move order, at the column (row pairs) or row
+    (column pairs)."""
+    runs = _take(_runs(rows, d, index), k)
+    _shift(rows, d, index, runs)
+    return runs
+
+
 def ladder_rows(rows: list, d: str, index: int, k: Optional[int] = None) -> list[TransferRecord]:
     """`ladder` in place on a list of row lists; returns the records."""
-    steps = _take([at for at, n in _runs(rows, d, index) for _ in range(n)], k)
-    _shift(rows, d, index, steps)
-    return [TransferRecord(d, index, at) for at in steps]
+    return _records(d, index, ladder_runs(rows, d, index, k))
 
 
 def ladder(
@@ -135,17 +155,17 @@ def ladder(
     ladder(m, d, index, k=1).  Raises ValueError when k exceeds the
     potential or index is negative.
     """
-    rows = [list(r) for r in m.rows]
-    records = tuple(ladder_rows(rows, d, index, k))
-    return IntegralMatrix._wrap(tuple(map(tuple, rows))), records
+    runs = _take(_runs(m.rows, d, index), k)
+    return IntegralMatrix._wrap(_moved(m.rows, d, index, runs)), tuple(_records(d, index, runs))
 
 
 def move(m: IntegralMatrix, d: str, index: int) -> Optional[tuple[IntegralMatrix, TransferRecord]]:
     """Apply one unit transfer in the direction; None when none is legal."""
-    if not potential(m, d, index):
+    runs = _runs(m.rows, d, index)
+    if not runs:
         return None
-    out, (rec,) = ladder(m, d, index, 1)
-    return out, rec
+    runs = _take(runs, 1)
+    return IntegralMatrix._wrap(_moved(m.rows, d, index, runs)), _records(d, index, runs)[0]
 
 
 def paren_profile(m: IntegralMatrix, axis: str, index: int):
@@ -158,7 +178,7 @@ def paren_profile(m: IntegralMatrix, axis: str, index: int):
     unmatched '(' positions, unmatched ')' positions).
     """
     units = _units(m.rows, axis, index)
-    opens, closes = _match(units)
+    opens, closes = _opens(units), _closes(units)
     sym, seps, starts = [], [], []
     for c, o in units:
         starts.append(len(sym) + c)  # position of the step's first '('

@@ -4,10 +4,16 @@ of a matrix into its pair (P, Q) of one-sided exhausted matrices.
 Exhausting upward or leftward moves always terminates and the result is
 independent of the order; downward/rightward exhaustion needs an index
 bound k (moves dnm_i / rtm_j are attempted for i, j in [0, k-1) only).
+
+Two orders reach it.  `exhaust` keeps the canonical adaptive order and one
+record per unit move, for callers that read the moves.  `decompose`,
+`compose`, `normal_form` and `crystal_class_potentials` use `_sweep`,
+which climbs each ladder once along a fixed reduced word of the longest
+permutation and keeps only (index, units) per ladder: by string
+parametrization (Littelmann 1998; Berenstein-Zelevinsky 2001) maximal
+raising along any reduced word of w0 reaches the highest-weight element.
 """
 
-from itertools import groupby
-from operator import attrgetter
 from typing import Optional
 
 from . import crystal_binary as cb
@@ -39,28 +45,17 @@ def potential(m: Matrix, d: str, index: int) -> int:
 
 
 def _index_limit(m: Matrix, d: str, bound: Optional[int]) -> int:
-    if d in (UP, DOWN):
-        extent = m.height
-    else:
-        extent = m.width
-    if d in (DOWN, RIGHT):
-        if bound is None:
-            bound = extent
-        return max(bound - 1, 0)
-    return extent  # raising moves exhaust globally; indices beyond are dead
+    """Ladders at this index and beyond are never climbed: past the stored
+    rectangle for raising moves, which exhaust globally, and at bound - 1
+    for lowering moves (the extent when bound is None)."""
+    extent = m.height if d in (UP, DOWN) else m.width
+    if bound is None or d in (UP, LEFT):
+        bound = extent
+    return max(bound - 1, 0)
 
-def exhaust(m: Matrix, directions, bound: Optional[int] = None):
-    """Apply moves from the given directions until none is possible.
 
-    Canonical order: scan directions in (up, down, left, right) order, take
-    the lowest index admitting a move and climb that ladder completely,
-    then scan again.  A ladder at index i changes only the potentials at
-    i-1, i and i+1, so each scan resumes at index i-1 (not 0) of the same
-    direction; moves of one axis leave the other axis's potentials
-    unchanged, so the directions are exhausted one after the other.
-    Opposite directions undo each other and are rejected.  Returns
-    (matrix, tuple of move records).
-    """
+def _directions(directions, bound: Optional[int]) -> tuple[str, ...]:
+    """The directions in (up, down, left, right) order, checked."""
     directions = tuple(d for d in (UP, DOWN, LEFT, RIGHT) if d in set(directions))
     if not directions:
         raise UsageError("at least one direction is required")
@@ -68,6 +63,25 @@ def exhaust(m: Matrix, directions, bound: Optional[int] = None):
         raise UsageError("opposite directions undo each other; exhaust them separately")
     if bound is not None and bound < 1:
         raise UsageError(f"bound must be at least 1, got {bound}")
+    return directions
+
+
+def exhaust(m: Matrix, directions, bound: Optional[int] = None):
+    """Apply moves from the given directions until none is possible.
+
+    Canonical (adaptive) order: scan directions in (up, down, left, right)
+    order, take the lowest index admitting a move and climb that ladder
+    completely, then scan again.  A ladder at index i changes only the
+    potentials at i-1, i and i+1, so each scan resumes at index i-1 (not
+    0) of the same direction; moves of one axis leave the other axis's
+    potentials unchanged, so the directions are exhausted one after the
+    other.  Opposite directions undo each other and are rejected.  Returns
+    (matrix, tuple of move records).
+
+    The result does not depend on the order; `_sweep` reaches it in the
+    fixed reduced-word order without records.
+    """
+    directions = _directions(directions, bound)
     ops = _ops(m)
     rows = [list(r) for r in m.rows]
     records = []
@@ -81,6 +95,31 @@ def exhaust(m: Matrix, directions, bound: Optional[int] = None):
     return type(m)._wrap(tuple(map(tuple, rows))), tuple(records)
 
 
+def _sweep(m: Matrix, directions, bound: Optional[int] = None):
+    """`exhaust`'s matrix in the fixed reduced-word order, without records.
+
+    Climbs each ladder once along the reduced word of the longest
+    permutation (0)(1 0)(2 1 0)...: for top in 0..limit-1, indices top
+    down to 0.  Applying the maximal raising (lowering) power along any
+    reduced word of the longest element reaches the highest (lowest)
+    weight element (string parametrization: Littelmann, "Cones, crystals,
+    and patterns", 1998; Berenstein-Zelevinsky 2001), so limit(limit+1)/2
+    ladder scans suffice, none repeated.  Returns (matrix,
+    [(direction, index, units), ...]) listing the ladders that moved.
+    """
+    directions = _directions(directions, bound)
+    ops = _ops(m)
+    rows = [list(r) for r in m.rows]
+    ladders = []
+    for d in directions:
+        for top in range(_index_limit(m, d, bound)):
+            for index in range(top, -1, -1):
+                runs = ops.ladder_runs(rows, d, index)
+                if runs:
+                    ladders.append((d, index, sum(n for _, n in runs)))
+    return type(m)._wrap(tuple(map(tuple, rows))), ladders
+
+
 def is_normal(m: Matrix) -> Optional[Partition]:
     """The partition parametrising m when m = diagram(lam) or diagon(lam)."""
     lam = m.row_sums()
@@ -92,7 +131,7 @@ def is_normal(m: Matrix) -> Optional[Partition]:
 
 def normal_form(m: Matrix) -> Partition:
     """The partition parametrising the up/left-exhausted form of m."""
-    n, _ = exhaust(m, (UP, LEFT))
+    n, _ = _sweep(m, (UP, LEFT))
     lam = is_normal(n)
     if lam is None:
         raise AssertionError(f"exhausted matrix is not a normal form: {n!r}")
@@ -101,17 +140,16 @@ def normal_form(m: Matrix) -> Partition:
 
 def decompose(m: Matrix) -> tuple[Matrix, Matrix]:
     """The pair (P, Q): P exhausts upward moves, Q leftward moves."""
-    p, _ = exhaust(m, (UP,))
-    q, _ = exhaust(m, (LEFT,))
+    p, _ = _sweep(m, (UP,))
+    q, _ = _sweep(m, (LEFT,))
     return p, q
 
 
 def compose(p: Matrix, q: Matrix) -> Matrix:
     """Inverse of decompose: the unique m with exhaust-up = P, exhaust-left = Q.
 
-    Records the raising sequence that exhausts upward moves on Q, then
-    applies the inverse lowering sequence to P, one ladder per run of
-    records at one index.
+    Sweeps upward moves on Q, then applies the inverse lowering ladders to
+    P in reverse order.
     """
     if type(p) is not type(q):
         raise ComposeError("P and Q must have the same mode")
@@ -129,10 +167,10 @@ def compose(p: Matrix, q: Matrix) -> Matrix:
             raise ComposeError("need rsum(P) = conjugate(csum(Q))")
     elif rp != cq:
         raise ComposeError("need rsum(P) = csum(Q)")
-    _, up_seq = exhaust(q, (UP,))
+    _, ladders = _sweep(q, (UP,))
     rows = [list(r) for r in p.rows]
-    for index, run in groupby(reversed(up_seq), key=attrgetter("index")):
-        ops.ladder_rows(rows, DOWN, index, len(list(run)))
+    for _, index, k in reversed(ladders):
+        ops.ladder_runs(rows, DOWN, index, k)
     m = type(p)._wrap(tuple(map(tuple, rows)))
     check_p, check_q = decompose(m)
     if check_p != p or check_q != q:
@@ -148,12 +186,12 @@ def crystal_class_potentials(m: Matrix, axis: str) -> tuple[int, ...]:
     """
     ops = _ops(m)
     if axis == "vertical":
-        p, _ = exhaust(m, (UP,))
+        p, _ = _sweep(m, (UP,))
         lam = p.row_sums()
         n = len(lam)
         out = tuple(ops.potential(p, DOWN, i) for i in range(n))
     elif axis == "horizontal":
-        q, _ = exhaust(m, (LEFT,))
+        q, _ = _sweep(m, (LEFT,))
         mu = q.col_sums()
         n = len(mu)
         out = tuple(ops.potential(q, RIGHT, j) for j in range(n))

@@ -7,6 +7,8 @@ extent, yields the matrix encoding the dual tableau, whose chain is read
 from reverted partial margins.
 """
 
+from itertools import accumulate
+
 from .crystal_binary import DOWN, UP
 from .decomposition import exhaust
 from .matrices import BinaryMatrix, IntegralMatrix
@@ -55,6 +57,20 @@ def _revert_delta(chain, rows: int):
     return tuple(zip(*cols)) if cols else ()
 
 
+def _partial_row_sums(m, k: int, n: int, suffix: bool):
+    """Per j in 0..n, the trimmed row sums of m padded to k x n over the
+    columns from j on (suffix) or before j, by one running sum per row."""
+    sums = []
+    for r in m.pad_to(k, n).rows:
+        if suffix:
+            s = list(accumulate(reversed(r), initial=0))
+            s.reverse()
+        else:
+            s = list(accumulate(r, initial=0))
+        sums.append(s)
+    return [trim(s[j] for s in sums) for j in range(n + 1)]
+
+
 def dual(t: Tableau) -> Tableau:
     """The Schutzenberger dual: same weight, opposite (reverse) flavor.
 
@@ -71,34 +87,22 @@ def dual(t: Tableau) -> Tableau:
         # integral encoding: column j = chain[j+1] - chain[j]
         p = IntegralMatrix(_column_diffs(t.chain, k, reverted=False))
         pt, _ = exhaust(p, (DOWN,)) if k else (p, ())
-        chain = tuple(
-            revert(trim(sum(r[j:]) for r in pt.pad_to(k, n).rows), k)
-            for j in range(n + 1)
-        )
+        chain = tuple(revert(c, k) for c in _partial_row_sums(pt, k, n, suffix=True))
         return Tableau(REVERSE, chain)
     if t.flavor == REVERSE:
         ptilde = IntegralMatrix(_revert_delta(t.chain, k))
         p, _ = exhaust(ptilde, (UP,))
-        chain = tuple(
-            trim(sum(r[:j]) for r in p.pad_to(k, n).rows) for j in range(n + 1)
-        )
-        return Tableau(SST, chain)
+        return Tableau(SST, tuple(_partial_row_sums(p, k, n, suffix=False)))
     if t.flavor == REVERSE_TRANSPOSE:
         # binary encoding by columns: column j = chain[j] - chain[j+1]
         p = BinaryMatrix(_column_diffs(t.chain, k, reverted=False))
         pt, _ = exhaust(p, (DOWN,)) if k else (p, ())
-        chain = tuple(
-            revert(trim(sum(r[:j]) for r in pt.pad_to(k, n).rows), k)
-            for j in range(n + 1)
-        )
+        chain = tuple(revert(c, k) for c in _partial_row_sums(pt, k, n, suffix=False))
         return Tableau(TRANSPOSE, chain)
     # TRANSPOSE
     ptilde = BinaryMatrix(_revert_delta(t.chain, k))
     p, _ = exhaust(ptilde, (UP,))
-    chain = tuple(
-        trim(sum(r[j:]) for r in p.pad_to(k, n).rows) for j in range(n + 1)
-    )
-    return Tableau(REVERSE_TRANSPOSE, chain)
+    return Tableau(REVERSE_TRANSPOSE, tuple(_partial_row_sums(p, k, n, suffix=True)))
 
 
 def rotate_complement(t: Tableau, rect: tuple[int, int]) -> Tableau:

@@ -17,7 +17,15 @@ from . import crystal_binary as cb
 from . import crystal_integral as ci
 from .crystal_binary import DIRECTIONS, DOWN, LEFT, OPPOSITE, RIGHT, UP, MoveRecord
 from .crystal_integral import TransferRecord
-from .decomposition import apply_move, compose, decompose, exhaust, normal_form, potential
+from .decomposition import (
+    _sweep,
+    apply_move,
+    compose,
+    decompose,
+    exhaust,
+    normal_form,
+    potential,
+)
 from .growth import ORIENTATIONS, growth_diagram
 from .insertion import burge, dual_rsk_col, rectify
 from .matrices import (
@@ -165,11 +173,17 @@ def suite_commutation(rng):
 
 
 def suite_roundtrip(rng):
-    """decompose / compose are mutually inverse; exhaustion order-free."""
+    """decompose / compose are mutually inverse; exhaustion order-free:
+    the reduced-word sweep behind decompose and normal_form reaches the
+    matrix of exhaust's adaptive order."""
     for _ in range(60):
         m = _random_matrix(rng, rng.random() < 0.5)
         p, q = decompose(m)
         if compose(p, q) != m:
+            return False
+        if p.rows != exhaust(m, (UP,))[0].rows or q.rows != exhaust(m, (LEFT,))[0].rows:
+            return False
+        if _sweep(m, (UP, LEFT))[0].rows != exhaust(m, (UP, LEFT))[0].rows:
             return False
         if normal_form(p) != normal_form(m):
             return False
