@@ -139,8 +139,7 @@ def _take(runs: list, k: Optional[int]) -> list:
 def _shift(rows: list, d: str, index: int, runs: list) -> None:
     """Move n units per (at, n) run (at: the column of a row pair, the row
     of a column pair) between lines index and index+1 in direction d, in
-    place, zero-padding the rows to the cells filled.  Only the rows the
-    runs touch need be lists, unless a rightward run pads every row."""
+    place, zero-padding the rows to the cells filled."""
     if not runs:
         return
     if d in (UP, DOWN):
@@ -151,7 +150,7 @@ def _shift(rows: list, d: str, index: int, runs: list) -> None:
             src[at] -= n
             dst[at] += n
         return
-    if d == RIGHT and len(rows[0]) < index + 2:
+    if d == RIGHT:
         for r in rows:
             r.extend([0] * (index + 2 - len(r)))
     src, dst = (index + 1, index) if d == LEFT else (index, index + 1)
@@ -159,24 +158,6 @@ def _shift(rows: list, d: str, index: int, runs: list) -> None:
         r = rows[at]
         r[src] -= n
         r[dst] += n
-
-
-def _moved(rows: tuple, d: str, index: int, runs: list) -> tuple:
-    """The rows (tuples) with the runs shifted, copying only the rows the
-    runs touch (every row when a rightward run pads them)."""
-    if not runs:
-        return rows
-    out = list(rows)
-    if d in (UP, DOWN):
-        touched = range(index, min(index + 2, len(out)))
-    elif d == RIGHT and len(out[0]) < index + 2:
-        touched = range(len(out))
-    else:
-        touched = [at for at, _ in runs]
-    for i in touched:
-        out[i] = list(out[i])
-    _shift(out, d, index, runs)
-    return tuple(map(tuple, out))
 
 
 def potential(m: BinaryMatrix, d: str, index: int) -> int:
@@ -225,17 +206,20 @@ def ladder(
     ladder(m, d, index, k=1).  Raises ValueError when k exceeds the
     potential or index is negative.
     """
-    runs = _take(_runs(m.rows, d, index), k)
-    return BinaryMatrix._wrap(_moved(m.rows, d, index, runs)), tuple(_records(d, index, runs))
+    rows = [list(r) for r in m.rows]
+    runs = ladder_runs(rows, d, index, k)
+    return BinaryMatrix._wrap(tuple(map(tuple, rows))), tuple(_records(d, index, runs))
 
 
 def move(m: BinaryMatrix, d: str, index: int) -> Optional[tuple[BinaryMatrix, MoveRecord]]:
     """Apply one raising/lowering move; None when none is possible."""
-    steps = _steps(m.rows, d, index)
-    if not steps:
+    runs = _runs(m.rows, d, index)
+    if not runs:
         return None
-    runs = [(steps[0], 1)]
-    return BinaryMatrix._wrap(_moved(m.rows, d, index, runs)), _records(d, index, runs)[0]
+    runs = _take(runs, 1)
+    rows = [list(r) for r in m.rows]
+    _shift(rows, d, index, runs)
+    return BinaryMatrix._wrap(tuple(map(tuple, rows))), _records(d, index, runs)[0]
 
 
 def paren_profile(m: BinaryMatrix, orientation: str, index: int):

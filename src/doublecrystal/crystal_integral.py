@@ -13,7 +13,7 @@ independent check.
 
 from typing import NamedTuple, Optional
 
-from .crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP, _moved, _shift, _take
+from .crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP, _shift, _take
 from .matrices import IntegralMatrix
 
 ROWS = "rows"
@@ -155,8 +155,9 @@ def ladder(
     ladder(m, d, index, k=1).  Raises ValueError when k exceeds the
     potential or index is negative.
     """
-    runs = _take(_runs(m.rows, d, index), k)
-    return IntegralMatrix._wrap(_moved(m.rows, d, index, runs)), tuple(_records(d, index, runs))
+    rows = [list(r) for r in m.rows]
+    runs = ladder_runs(rows, d, index, k)
+    return IntegralMatrix._wrap(tuple(map(tuple, rows))), tuple(_records(d, index, runs))
 
 
 def move(m: IntegralMatrix, d: str, index: int) -> Optional[tuple[IntegralMatrix, TransferRecord]]:
@@ -165,7 +166,9 @@ def move(m: IntegralMatrix, d: str, index: int) -> Optional[tuple[IntegralMatrix
     if not runs:
         return None
     runs = _take(runs, 1)
-    return IntegralMatrix._wrap(_moved(m.rows, d, index, runs)), _records(d, index, runs)[0]
+    rows = [list(r) for r in m.rows]
+    _shift(rows, d, index, runs)
+    return IntegralMatrix._wrap(tuple(map(tuple, rows))), _records(d, index, runs)[0]
 
 
 def paren_profile(m: IntegralMatrix, axis: str, index: int):

@@ -8,8 +8,8 @@ bound k (moves dnm_i / rtm_j are attempted for i, j in [0, k-1) only).
 Two orders reach it.  `exhaust` keeps the canonical adaptive order and one
 record per unit move, for callers that read the moves.  `decompose`,
 `compose`, `normal_form` and `crystal_class_potentials` use `_sweep`,
-which climbs each ladder once along a fixed reduced word of the longest
-permutation and keeps only (index, units) per ladder: by string
+which climbs each ladder at most once along a fixed reduced word of the
+longest permutation and keeps only (index, units) per ladder: by string
 parametrization (Littelmann 1998; Berenstein-Zelevinsky 2001) maximal
 raising along any reduced word of w0 reaches the highest-weight element.
 """
@@ -95,28 +95,32 @@ def exhaust(m: Matrix, directions, bound: Optional[int] = None):
     return type(m)._wrap(tuple(map(tuple, rows))), tuple(records)
 
 
-def _sweep(m: Matrix, directions, bound: Optional[int] = None):
-    """`exhaust`'s matrix in the fixed reduced-word order, without records.
+def _sweep(m: Matrix, directions):
+    """`exhaust`'s matrix for raising directions in a fixed reduced-word
+    order, without records.
 
-    Climbs each ladder once along the reduced word of the longest
+    Climbs each ladder at most once along the reduced word of the longest
     permutation (0)(1 0)(2 1 0)...: for top in 0..limit-1, indices top
-    down to 0.  Applying the maximal raising (lowering) power along any
-    reduced word of the longest element reaches the highest (lowest)
-    weight element (string parametrization: Littelmann, "Cones, crystals,
-    and patterns", 1998; Berenstein-Zelevinsky 2001), so limit(limit+1)/2
-    ladder scans suffice, none repeated.  Returns (matrix,
-    [(direction, index, units), ...]) listing the ladders that moved.
+    down to 0.  Applying the maximal raising power along any reduced word
+    of the longest element reaches the highest-weight element (string
+    parametrization: Littelmann, "Cones, crystals, and patterns", 1998;
+    Berenstein-Zelevinsky 2001).  Each pass for top starts with indices
+    0..top-1 exhausted; once the ladder at index i does not move, lines
+    0..i are as the pass found them, so indices below i cannot move and
+    the pass stops: at most (ladders climbed + limit) scans.  Returns
+    (matrix, [(index, units), ...]) listing the ladders that moved.
     """
-    directions = _directions(directions, bound)
+    directions = _directions(directions, None)
     ops = _ops(m)
     rows = [list(r) for r in m.rows]
     ladders = []
     for d in directions:
-        for top in range(_index_limit(m, d, bound)):
+        for top in range(_index_limit(m, d, None)):
             for index in range(top, -1, -1):
                 runs = ops.ladder_runs(rows, d, index)
-                if runs:
-                    ladders.append((d, index, sum(n for _, n in runs)))
+                if not runs:
+                    break
+                ladders.append((index, sum(n for _, n in runs)))
     return type(m)._wrap(tuple(map(tuple, rows))), ladders
 
 
@@ -169,7 +173,7 @@ def compose(p: Matrix, q: Matrix) -> Matrix:
         raise ComposeError("need rsum(P) = csum(Q)")
     _, ladders = _sweep(q, (UP,))
     rows = [list(r) for r in p.rows]
-    for _, index, k in reversed(ladders):
+    for index, k in reversed(ladders):
         ops.ladder_runs(rows, DOWN, index, k)
     m = type(p)._wrap(tuple(map(tuple, rows)))
     check_p, check_q = decompose(m)
