@@ -23,8 +23,13 @@ from .crystal_binary import DOWN, LEFT, RIGHT, UP
 from .decomposition import UsageError
 from .matrices import (
     BINARY,
+    BRUTE,
+    FULLY_REDUCED,
     INTEGRAL,
     LR,
+    LR_FIRST,
+    STAGES,
+    TAB_FIRST,
     TABLEAU,
     BinaryMatrix,
     IntegralMatrix,
@@ -43,12 +48,6 @@ from .shapes import (
     part,
     trim,
 )
-
-BRUTE = "brute"
-TAB_FIRST = "tab_first"
-LR_FIRST = "lr_first"
-FULLY_REDUCED = "fully_reduced"
-STAGES = (BRUTE, TAB_FIRST, LR_FIRST, FULLY_REDUCED)
 
 
 class BoxTooSmall(ValueError):
@@ -203,13 +202,6 @@ def lr_count(shape1: SkewShape, shape2: SkewShape, mode: str) -> int:
         if condition(m, shape2, LR, mode):
             count += 1
     return count
-
-
-def _reverse_slots(comp, slots):
-    comp = trim(comp)
-    if len(comp) > slots:
-        raise ValueError("composition longer than slot count")
-    return trim(tuple(part(comp, slots - 1 - i) for i in range(slots)))
 
 
 def _stage_value(shape1, shape2, stage, mode, box):

@@ -10,17 +10,19 @@ Exit status: 0 success, 1 domain error, 2 usage error.
 import argparse
 import json
 import os
-import random
 import sys
 
-from . import cancellation, decomposition, growth, insertion, pictures, schutzenberger
-from .cancellation import STAGES, alternating_sum, lr_witness
+# only the core here: each command imports the other modules it uses
+from . import decomposition
 from .crystal_binary import DIRECTIONS
 from .decomposition import UsageError, compose, decompose, exhaust, normal_form
 from .matrices import (
     BINARY,
     INTEGRAL,
     LR,
+    NW,
+    ORIENTATIONS,
+    STAGES,
     InputError,
     condition,
     decode,
@@ -37,6 +39,7 @@ from .shapes import (
     Tableau,
     format_partition,
     parse_partition,
+    part,
 )
 
 
@@ -154,6 +157,8 @@ def cmd_normal_form(args):
 
 
 def cmd_growth(args):
+    from . import growth
+
     m = _read_matrix(args)
     gd = growth.growth_diagram(m, args.orientation, verify=args.verify)
     if args.json:
@@ -170,6 +175,8 @@ def cmd_growth(args):
 
 
 def cmd_burge(args):
+    from . import insertion
+
     m = _read_matrix(args)
     if not args.mode:
         args.mode = INTEGRAL
@@ -180,6 +187,8 @@ def cmd_burge(args):
 
 
 def cmd_dual_rsk(args):
+    from . import insertion
+
     m = _read_matrix(args)
     if args.variant == "col":
         s, r = insertion.dual_rsk_col(m)
@@ -194,6 +203,8 @@ def cmd_dual_rsk(args):
 
 
 def cmd_dual(args):
+    from . import schutzenberger
+
     t = _read_tableau(args)
     _emit_tableau(schutzenberger.dual(t), args)
 
@@ -206,6 +217,8 @@ def _box(text):
 
 
 def cmd_scalar(args):
+    from .cancellation import alternating_sum
+
     s1, s2 = _shape(args.shape1), _shape(args.shape2)
     box = _box(args.box) if args.box else (6, 6)
     value = alternating_sum(s1, s2, args.stage, args.mode, box)
@@ -216,8 +229,7 @@ def cmd_scalar(args):
 
 def _print_cancellation_trace(s1, s2, mode, box):
     """List the LR-condition cancellation pairs among tableau-side matrices."""
-    from .matrices import encode
-    from .shapes import part
+    from . import cancellation
 
     nu, mu = s2.outer, s2.inner
     weights = tuple(part(nu, i) - part(mu, i) for i in range(len(nu)))
@@ -228,11 +240,13 @@ def _print_cancellation_trace(s1, s2, mode, box):
         if condition(m, s2, LR, mode):
             continue
         partner = cancellation.involution(m, s2, LR)
-        print(f"# cancel {m.rows} <-> {partner.rows} witness {lr_witness(m, s2)}",
-              file=sys.stderr)
+        witness = cancellation.lr_witness(m, s2)
+        print(f"# cancel {m.rows} <-> {partner.rows} witness {witness}", file=sys.stderr)
 
 
 def cmd_pictures(args):
+    from . import pictures
+
     dom, cod = _shape(args.dom), _shape(args.cod)
     if args.action == "enumerate":
         pics = pictures.enumerate_pictures(dom, cod)
@@ -270,6 +284,8 @@ def cmd_pictures(args):
 
 
 def cmd_verify(args):
+    import random
+
     from .verify import run_suites
 
     seed = int(os.environ.get("DC_SEED", "0"))
@@ -334,7 +350,7 @@ def build_parser():
     p = add("growth", cmd_growth, help="growth diagram of a matrix")
     p.add_argument("matrix", nargs="?")
     p.add_argument("--mode", choices=(BINARY, INTEGRAL))
-    p.add_argument("--orientation", choices=growth.ORIENTATIONS, default=growth.NW)
+    p.add_argument("--orientation", choices=ORIENTATIONS, default=NW)
     p.add_argument("--verify", action="store_true",
                    help="check every cell against direct normalization")
 

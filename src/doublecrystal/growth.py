@@ -7,16 +7,16 @@ local rules from empty borders, with optional per-cell verification
 against direct normalization.
 """
 
-from dataclasses import dataclass
 from itertools import compress, count
 from math import inf
 from operator import add, lt, sub
 
 from .decomposition import normal_form
-from .matrices import BinaryMatrix, IntegralMatrix, Matrix
+from .matrices import NE, NW, ORIENTATIONS, SE, SW, BinaryMatrix, IntegralMatrix, Matrix
 from .shapes import (
     HORIZONTAL,
     VERTICAL,
+    Frozen,
     Partition,
     contains,
     is_partition,
@@ -26,12 +26,6 @@ from .shapes import (
     strip_le,
     trim,
 )
-
-NW = "NW"
-NE = "NE"
-SW = "SW"
-SE = "SE"
-ORIENTATIONS = (NW, NE, SW, SE)
 
 ROW_INSERTION = "row_insertion"
 COL_INSERTION = "col_insertion"
@@ -304,11 +298,21 @@ def dual_datum(flavor: str, direction: str, *, lam=None, mu, nu, kappa=None, bit
     raise ValueError(f"unknown direction: {direction}")
 
 
-@dataclass(frozen=True)
-class GrowthDiagram:
-    orientation: str
-    grid: tuple[tuple[Partition, ...], ...]
-    source: Matrix
+class GrowthDiagram(Frozen):
+    _fields = ("orientation", "grid", "source")
+
+    def __init__(self, orientation: str, grid: tuple[tuple[Partition, ...], ...],
+                 source: Matrix):
+        vars(self).update(orientation=orientation, grid=grid, source=source)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.orientation, self.grid, self.source)
+                == (other.orientation, other.grid, other.source))
+
+    def __hash__(self):
+        return hash((self.orientation, self.grid, self.source))
 
     @property
     def height(self) -> int:

@@ -31,6 +31,21 @@ LR = "lr"
 BINARY = "binary"
 INTEGRAL = "integral"
 
+# Growth-diagram orientations and alternating-sum stages, defined here so
+# that the command-line parser can offer them without importing `growth`
+# or `cancellation`, which re-export them.
+NW = "NW"
+NE = "NE"
+SW = "SW"
+SE = "SE"
+ORIENTATIONS = (NW, NE, SW, SE)
+
+BRUTE = "brute"
+TAB_FIRST = "tab_first"
+LR_FIRST = "lr_first"
+FULLY_REDUCED = "fully_reduced"
+STAGES = (BRUTE, TAB_FIRST, LR_FIRST, FULLY_REDUCED)
+
 
 class DecodeError(ValueError):
     """A matrix fails the tableau condition needed to decode it."""

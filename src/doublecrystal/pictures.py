@@ -6,8 +6,6 @@ f(s) <=NW f(t)  =>  s <=NE t, where (i,j) <=NW (k,l) means i<=k, j<=l and
 (i,j) <=NE (k,l) means i<=k, j>=l.
 """
 
-from dataclasses import dataclass
-
 from .matrices import (
     BINARY,
     INTEGRAL,
@@ -19,7 +17,7 @@ from .matrices import (
     condition,
     mode_of,
 )
-from .shapes import SkewShape, add, conjugate, part
+from .shapes import Frozen, SkewShape, add, conjugate, part
 
 INT = "Int"
 BIN = "Bin"
@@ -33,17 +31,21 @@ class SizeError(ValueError):
     """Enumeration requested beyond the supported size cap."""
 
 
-@dataclass(frozen=True)
-class Picture:
-    domain: SkewShape
-    codomain: SkewShape
-    mapping: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+class Picture(Frozen):
+    _fields = ("domain", "codomain", "mapping")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(sorted(self.mapping)))
+    def __init__(self, domain: SkewShape, codomain: SkewShape,
+                 mapping: tuple[tuple[tuple[int, int], tuple[int, int]], ...]):
+        vars(self).update(domain=domain, codomain=codomain, mapping=tuple(sorted(mapping)))
 
-    def as_dict(self):
-        return dict(self.mapping)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.domain, self.codomain, self.mapping)
+                == (other.domain, other.codomain, other.mapping))
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain, self.mapping))
 
     def inverse(self) -> "Picture":
         return Picture(

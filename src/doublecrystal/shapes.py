@@ -5,7 +5,6 @@ from 0 and implicitly extended by zeros.  All functions return trimmed
 tuples (no trailing zeros), and accept untrimmed input.
 """
 
-from dataclasses import dataclass
 from itertools import starmap, zip_longest
 import operator
 
@@ -170,20 +169,46 @@ def format_partition(lam) -> str:
     return ",".join(str(p) for p in lam) if lam else "0"
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class Frozen:
+    """Base of value classes whose fields are set once, in `__init__`.
+
+    Subclasses name their fields in `_fields` (for `repr`) and define
+    `__eq__` and `__hash__` over them.
+    """
+
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SkewShape(Frozen):
     """A pair of partitions outer/inner with inner contained in outer."""
 
-    outer: Partition
-    inner: Partition = ()
+    _fields = ("outer", "inner")
 
-    def __post_init__(self):
-        object.__setattr__(self, "outer", trim(self.outer))
-        object.__setattr__(self, "inner", trim(self.inner))
-        if not (is_partition(self.outer) and is_partition(self.inner)):
-            raise ValueError(f"not partitions: {self.outer}/{self.inner}")
-        if not contains(self.inner, self.outer):
-            raise ValueError(f"inner not contained in outer: {self.outer}/{self.inner}")
+    def __init__(self, outer: Partition, inner: Partition = ()):
+        outer, inner = trim(outer), trim(inner)
+        if not (is_partition(outer) and is_partition(inner)):
+            raise ValueError(f"not partitions: {outer}/{inner}")
+        if not contains(inner, outer):
+            raise ValueError(f"inner not contained in outer: {outer}/{inner}")
+        vars(self).update(outer=outer, inner=inner)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.outer, self.inner) == (other.outer, other.inner)
+
+    def __hash__(self):
+        return hash((self.outer, self.inner))
 
     def __str__(self):
         return f"{format_partition(self.outer)}/{format_partition(self.inner)}"
@@ -219,34 +244,41 @@ def _step_ok(flavor: str, a, b) -> bool:
     raise ValueError(f"unknown flavor: {flavor}")
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Frozen):
     """A tableau as a stabilized chain of partitions with one of four flavors.
 
     chain[i] is the shape occupied by entries < i (forward flavors) or
     >= i (reverse flavors); the last member is the stable value.
     """
 
-    flavor: str
-    chain: tuple[Partition, ...]
+    _fields = ("flavor", "chain")
 
-    def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor: {self.flavor}")
-        chain = [trim(c) for c in self.chain]
+    def __init__(self, flavor: str, chain: tuple[Partition, ...]):
+        if flavor not in FLAVORS:
+            raise ValueError(f"unknown flavor: {flavor}")
+        chain = [trim(c) for c in chain]
         if not chain:
             chain = [()]
         while len(chain) >= 2 and chain[-1] == chain[-2]:
             chain.pop()
-        object.__setattr__(self, "chain", tuple(chain))
+        chain = tuple(chain)
         for c in chain:
             if not is_partition(c):
                 raise ValueError(f"chain member not a partition: {c}")
         for a, b in zip(chain, chain[1:]):
-            if not _step_ok(self.flavor, a, b):
+            if not _step_ok(flavor, a, b):
                 raise ValueError(
-                    f"chain step {a} -> {b} violates {self.flavor} strip relation"
+                    f"chain step {a} -> {b} violates {flavor} strip relation"
                 )
+        vars(self).update(flavor=flavor, chain=chain)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.flavor, self.chain) == (other.flavor, other.chain)
+
+    def __hash__(self):
+        return hash((self.flavor, self.chain))
 
     @property
     def reverse(self) -> bool:

@@ -18,6 +18,7 @@ from . import crystal_integral as ci
 from .crystal_binary import DIRECTIONS, DOWN, LEFT, OPPOSITE, RIGHT, UP, MoveRecord
 from .crystal_integral import TransferRecord
 from .decomposition import (
+    UsageError,
     _sweep,
     apply_move,
     compose,
@@ -316,12 +317,15 @@ SUITES = {
 
 
 def run_suites(names, rng, verbose=False) -> bool:
+    """Run the named suites ("all" for every one); an unknown name is a
+    UsageError, raised before any suite runs."""
+    for name in names:
+        if name != "all" and name not in SUITES:
+            raise UsageError(f"unknown suite {name!r}")
     if "all" in names:
         names = list(SUITES)
     ok = True
     for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
         passed = SUITES[name](rng)
         ok = ok and passed
         if verbose:

@@ -222,3 +222,11 @@ def test_malformed_input_exit_1(tmp_path, capsys, argv, text, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("suites", [["moves", "nosuch"], ["nosuch"], ["all", "nosuch"]])
+def test_unknown_suite_exit_2_before_any_suite_runs(capsys, suites):
+    assert run(["verify", *suites]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: unknown suite 'nosuch'\n"

@@ -447,3 +447,19 @@ def test_growth_corner_matches_insertion_property(m):
     corners = {NW: (h, w), NE: (h, 0), SW: (0, w), SE: (0, 0)}
     for o, (i, j) in corners.items():
         assert growth_diagram(mt, o).grid[i][j] == shape
+
+
+def test_dual_forward_checks_after_the_strip_relations_never_fire():
+    # lam <=v mu and lam <=h nu already imply that the optional squares lie
+    # in mu meet nu, that lam does, and that lam holds every obligatory
+    # square: no strip-valid triple is rejected
+    parts = list(partitions_up_to(6))
+    seen = 0
+    for lam, mu, nu in itertools.product(parts, repeat=3):
+        if not (strip_le(lam, mu, VERTICAL) and strip_le(lam, nu, HORIZONTAL)):
+            continue
+        for bit, flavor in itertools.product((0, 1), FLAVORS):
+            kappa = dual_forward(lam, mu, nu, bit, flavor)
+            assert size(kappa) == size(mu) + size(nu) - size(lam) + bit
+            seen += 1
+    assert seen == 4076
