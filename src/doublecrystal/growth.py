@@ -5,26 +5,22 @@ A growth diagram assigns to each grid point the implicit shape of a corner
 submatrix of its source matrix; the grids here are computed purely by
 local rules from empty borders, with optional per-cell verification
 against direct normalization.
+
+Each forward rule has one implementation (_burge, _rsk, _dual) on trimmed
+int tuples: it pads them once, makes every ShapeDatumError check on the
+padded tuples and trims its result once.  The public rules trim their
+inputs and call it; growth_diagram calls it on its stored shapes, which
+are already trimmed rule outputs.
 """
 
 from itertools import compress, count
 from math import inf
-from operator import add, lt, sub
+from operator import add, ge, le, lt, sub
 
 from .decomposition import normal_form
 from .matrices import NE, NW, ORIENTATIONS, SE, SW, BinaryMatrix, IntegralMatrix, Matrix
 from .shapes import (
-    HORIZONTAL,
-    VERTICAL,
-    Frozen,
-    Partition,
-    contains,
-    is_partition,
-    padded,
-    part,
-    revert,
-    strip_le,
-    trim,
+    Frozen, Partition, _is_trimmed_partition, is_partition, padded, part, revert, trim,
 )
 
 ROW_INSERTION = "row_insertion"
@@ -43,6 +39,41 @@ def implicit_shape(m: Matrix) -> Partition:
     return normal_form(m)
 
 
+def _h_le(a, b) -> bool:
+    """a <=h b for compositions zero-padded to one length, longer than either."""
+    return all(map(le, a, b)) and all(map(le, b[1:], a))
+
+
+def _v_le(a, b) -> bool:
+    """a <=v b for compositions zero-padded to one length, longer than either."""
+    if not (all(map(ge, a, a[1:])) and all(map(ge, b, b[1:]))):
+        return False
+    d = tuple(map(sub, b, a))
+    return 0 <= min(d) and max(d) <= 1
+
+
+def _burge(lam, mu, nu, m: int, trace=None) -> Partition:
+    """burge_forward on trimmed int tuples; appends its steps to trace."""
+    if m < 0:
+        raise ShapeDatumError("entry must be nonnegative")
+    n = max(len(lam), len(mu), len(nu)) + 1
+    lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
+    if not (_h_le(lp, mp) and _h_le(lp, np_)):
+        raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
+    # gain[i] = mu_i + nu_i - lam_i
+    gain = tuple(map(sub, map(add, mp, np_), lp))
+    c = m
+    kappa = [0] * n
+    for i in range(n - 1, 0, -1):
+        d = gain[i] + c
+        k = kappa[i] = d if d < lp[i - 1] else lp[i - 1]
+        c = d - k
+        if trace is not None and (trace or k != 0 or d != c):
+            trace.append((d, k, c))
+    kappa[0] = gain[0] + c
+    return trim(kappa)
+
+
 def burge_forward(lam, mu, nu, m: int, with_trace: bool = False):
     """Shape datum of the Burge correspondence: kappa from (lam, mu, nu, m).
 
@@ -50,29 +81,9 @@ def burge_forward(lam, mu, nu, m: int, with_trace: bool = False):
     d = mu_i + nu_i - lam_i + c, kappa_i = min(d, lam_{i-1}), c = d - kappa_i,
     and finally kappa_0 = mu_0 - lam_0 + c + nu_0.
     """
-    lam, mu, nu = trim(lam), trim(mu), trim(nu)
-    if m < 0:
-        raise ShapeDatumError("entry must be nonnegative")
-    if not (strip_le(lam, mu, HORIZONTAL) and strip_le(lam, nu, HORIZONTAL)):
-        raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
-    start = max(len(lam), len(mu), len(nu))
-    lp = padded(lam, start + 1)
-    # gain[i] = mu_i + nu_i - lam_i
-    gain = tuple(map(sub, map(add, padded(mu, start + 1), padded(nu, start + 1)), lp))
-    c = m
-    kappa = [0] * (start + 1)
-    trace = []
-    for i in range(start, 0, -1):
-        d = gain[i] + c
-        k = kappa[i] = d if d < lp[i - 1] else lp[i - 1]
-        c = d - k
-        if trace or k != 0 or d != c:
-            trace.append((d, k, c))
-    kappa[0] = gain[0] + c
-    result = trim(kappa)
-    if with_trace:
-        return result, tuple(trace)
-    return result
+    trace = [] if with_trace else None
+    result = _burge(trim(lam), trim(mu), trim(nu), m, trace)
+    return (result, tuple(trace)) if with_trace else result
 
 
 def burge_backward(mu, nu, kappa) -> tuple[Partition, int]:
@@ -82,59 +93,60 @@ def burge_backward(mu, nu, kappa) -> tuple[Partition, int]:
     lam_i = max(d, kappa_{i+1}), c = lam_i - d; the final carry is m.
     """
     mu, nu, kappa = trim(mu), trim(nu), trim(kappa)
-    if not (strip_le(mu, kappa, HORIZONTAL) and strip_le(nu, kappa, HORIZONTAL)):
+    n = max(len(mu), len(nu), len(kappa)) + 1
+    mp, np_, kp = padded(mu, n), padded(nu, n), padded(kappa, n)
+    if not (_h_le(mp, kp) and _h_le(np_, kp)):
         raise ShapeDatumError(f"need mu <=h kappa and nu <=h kappa: {mu}, {nu}, {kappa}")
-    stop = max(len(mu), len(nu), len(kappa))
     c = 0
-    lam = [0] * (stop + 1)
-    for i in range(stop + 1):
-        d = part(mu, i) + part(nu, i) - part(kappa, i) - c
-        lam[i] = max(d, part(kappa, i + 1))
-        c = lam[i] - d
+    lam = []
+    # at i = n - 1 all parts are zero and the step keeps c
+    for a, b, k, k_next in zip(mp, np_, kp, kp[1:]):
+        d = a + b - k - c
+        lam.append(max(d, k_next))
+        c = lam[-1] - d
     lam = trim(lam)
     if not is_partition(lam):
         raise ShapeDatumError(f"backward datum produced a non-partition: {lam}")
-    if burge_forward(lam, mu, nu, c) != kappa:
+    if _burge(lam, mu, nu, c) != kappa:
         raise ShapeDatumError("backward datum does not invert the forward datum")
     return lam, c
 
 
-def rsk_forward(lam, mu, nu, m: int) -> Partition:
-    """Shape datum of the RSK correspondence (closed formula)."""
-    lam, mu, nu = trim(lam), trim(mu), trim(nu)
+def _rsk(lam, mu, nu, m: int) -> Partition:
+    """rsk_forward on trimmed int tuples."""
     if m < 0:
         raise ShapeDatumError("entry must be nonnegative")
-    if not (strip_le(lam, mu, HORIZONTAL) and strip_le(lam, nu, HORIZONTAL)):
+    n = max(len(lam), len(mu), len(nu)) + 1
+    lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
+    if not (_h_le(lp, mp) and _h_le(lp, np_)):
         raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
-    n = max(len(mu), len(nu)) + 1
-    mu_nu = tuple(zip(padded(mu, n + 1), padded(nu, n + 1)))
-    lows = [a if a < b else b for a, b in mu_nu]
-    tops = [b if a < b else a for a, b in mu_nu]
-    # kappa_{i+1} = min(mu_i, nu_i) - lam_i + max(mu_{i+1}, nu_{i+1}), i < n
-    rest = map(add, map(sub, lows, padded(lam, n)), tops[1:])
-    return trim((m + tops[0], *rest))
+    lows = [a if a < b else b for a, b in zip(mp, np_)]
+    tops = [b if a < b else a for a, b in zip(mp, np_)]
+    # kappa_{i+1} = min(mu_i, nu_i) - lam_i + max(mu_{i+1}, nu_{i+1})
+    return trim((m + tops[0], *map(add, map(sub, lows, lp), tops[1:])))
+
+
+def rsk_forward(lam, mu, nu, m: int) -> Partition:
+    """Shape datum of the RSK correspondence (closed formula)."""
+    return _rsk(trim(lam), trim(mu), trim(nu), m)
 
 
 def rsk_backward(mu, nu, kappa) -> tuple[Partition, int]:
     """Inverse of the RSK shape datum."""
     mu, nu, kappa = trim(mu), trim(nu), trim(kappa)
-    if not (strip_le(mu, kappa, HORIZONTAL) and strip_le(nu, kappa, HORIZONTAL)):
+    n = max(len(mu), len(nu), len(kappa)) + 1
+    mp, np_, kp = padded(mu, n), padded(nu, n), padded(kappa, n)
+    if not (_h_le(mp, kp) and _h_le(np_, kp)):
         raise ShapeDatumError(f"need mu <=h kappa and nu <=h kappa: {mu}, {nu}, {kappa}")
-    m = part(kappa, 0) - max(part(mu, 0), part(nu, 0))
-    n = max(len(mu), len(nu)) + 1
-    lam = []
-    for i in range(n):
-        lam.append(
-            min(part(nu, i), part(mu, i))
-            + max(part(mu, i + 1), part(nu, i + 1))
-            - part(kappa, i + 1)
-        )
-    lam = trim(lam)
+    m = kp[0] - max(mp[0], np_[0])
+    # lam_i = min(mu_i, nu_i) + max(mu_{i+1}, nu_{i+1}) - kappa_{i+1}
+    lam = trim(map(sub, map(add, map(min, mp, np_), map(max, mp[1:], np_[1:])), kp[1:]))
     if m < 0 or not is_partition(lam):
         raise ShapeDatumError(f"backward datum produced invalid (lam, m) = ({lam}, {m})")
-    if not (strip_le(lam, mu, HORIZONTAL) and strip_le(lam, nu, HORIZONTAL)):
+    lp = padded(lam, n)
+    if not (_h_le(lp, mp) and _h_le(lp, np_)):
         raise ShapeDatumError(f"backward lam is not <=h mu, nu: {lam}")
-    if rsk_forward(lam, mu, nu, m) != kappa:
+    if _rsk(lam, mu, nu, m) != kappa:
         raise ShapeDatumError("backward datum does not invert the forward datum")
     return lam, m
 
@@ -214,9 +226,39 @@ def _add_cells(base, cells) -> Partition:
             raise ShapeDatumError(f"cell {(i, j)} does not extend {trim(base)}")
         rows[i] += 1
     out = trim(rows)
-    if not is_partition(out):
+    if not _is_trimmed_partition(out):
         raise ShapeDatumError(f"adding cells broke the partition: {out}")
     return out
+
+
+def _dual(lam, mu, nu, bit: int, flavor: str) -> Partition:
+    """dual_forward on trimmed int tuples."""
+    if bit not in (0, 1):
+        raise ShapeDatumError("bit must be 0 or 1")
+    n = max(len(lam), len(mu), len(nu)) + 1
+    lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
+    if not (_v_le(lp, mp) and _h_le(lp, np_)):
+        raise ShapeDatumError(f"need lam <=v mu and lam <=h nu: {lam}, {mu}, {nu}")
+    s_set, t_set = _optional_squares(mu, nu)
+    meet = [a if a < b else b for a, b in zip(mp, np_)]
+    for s in s_set:
+        if s[1] >= meet[s[0]]:
+            raise ShapeDatumError(f"optional square {s} outside mu meet nu")
+    obligatory = [s for s in s_set if s[1] >= lp[s[0]]]
+    if not all(map(le, lp, meet)):
+        raise ShapeDatumError(f"lam = {lam} not contained in mu meet nu")
+    # every square of meet / lam must be optional; S has at most one per row
+    s_col = dict(s_set)
+    for i in compress(count(), map(lt, lp, meet)):
+        j = lp[i] + 1 if s_col.get(i) == lp[i] else lp[i]
+        if j < meet[i]:
+            raise ShapeDatumError(f"obligatory square {(i, j)} missing from lam")
+    pairs, t0 = _match_optional(s_set, t_set, flavor)
+    new_cells = [pairs[s] for s in obligatory]
+    if bit:
+        new_cells.append(t0)
+    new_cells.sort(key=lambda t: t[1])
+    return _add_cells([b if a < b else a for a, b in zip(mp, np_)], new_cells)
 
 
 def dual_forward(lam, mu, nu, bit: int, flavor: str) -> Partition:
@@ -226,57 +268,28 @@ def dual_forward(lam, mu, nu, bit: int, flavor: str) -> Partition:
     square of kappa present, and vice versa; the unmatched square follows
     the bit.
     """
-    lam, mu, nu = trim(lam), trim(mu), trim(nu)
-    if bit not in (0, 1):
-        raise ShapeDatumError("bit must be 0 or 1")
-    if not (strip_le(lam, mu, VERTICAL) and strip_le(lam, nu, HORIZONTAL)):
-        raise ShapeDatumError(f"need lam <=v mu and lam <=h nu: {lam}, {mu}, {nu}")
-    s_set, t_set = _optional_squares(mu, nu)
-    n = max(len(mu), len(nu))
-    lp, mu_nu = padded(lam, n), tuple(zip(padded(mu, n), padded(nu, n)))
-    meet = [a if a < b else b for a, b in mu_nu]
-    for s in s_set:
-        if s[1] >= meet[s[0]]:
-            raise ShapeDatumError(f"optional square {s} outside mu meet nu")
-    obligatory = [s for s in s_set if s[1] >= lp[s[0]]]
-    if not contains(lam, meet):
-        raise ShapeDatumError(f"lam = {lam} not contained in mu meet nu")
-    # every square of meet / lam must be optional; S has at most one per row
-    s_col = dict(s_set)
-    for i in compress(count(), map(lt, lp, meet)):
-        j = lp[i] + 1 if s_col.get(i) == lp[i] else lp[i]
-        if j < meet[i]:
-            raise ShapeDatumError(f"obligatory square {(i, j)} missing from lam")
-    pairs, t0 = _match_optional(s_set, t_set, flavor)
-    join = [b if a < b else a for a, b in mu_nu]
-    new_cells = [pairs[s] for s in obligatory]
-    if bit:
-        new_cells.append(t0)
-    new_cells.sort(key=lambda t: t[1])
-    return _add_cells(join, new_cells)
+    return _dual(trim(lam), trim(mu), trim(nu), bit, flavor)
 
 
 def dual_backward(mu, nu, kappa, flavor: str) -> tuple[Partition, int]:
     """Binary shape datum, backward direction: (lam, bit) from (mu, nu, kappa)."""
     mu, nu, kappa = trim(mu), trim(nu), trim(kappa)
-    if not (strip_le(mu, kappa, HORIZONTAL) and strip_le(nu, kappa, VERTICAL)):
+    n = max(len(mu), len(nu), len(kappa)) + 1
+    mp, np_, kp = padded(mu, n), padded(nu, n), padded(kappa, n)
+    if not (_h_le(mp, kp) and _v_le(np_, kp)):
         raise ShapeDatumError(f"need mu <=h kappa and nu <=v kappa: {mu}, {nu}, {kappa}")
     s_set, t_set = _optional_squares(mu, nu)
     pairs, t0 = _match_optional(s_set, t_set, flavor)
-    join = tuple(max(part(mu, i), part(nu, i)) for i in range(max(len(mu), len(nu))))
-    if not contains(join, kappa):
+    join = tuple(map(max, mp, np_))
+    if not all(map(le, join, kp)):
         raise ShapeDatumError(f"kappa = {kappa} missing obligatory squares")
-    extra = []
-    for i in range(len(kappa)):
-        for j in range(part(join, i), part(kappa, i)):
-            extra.append((i, j))
+    extra = [(i, j) for i, k in enumerate(kappa) for j in range(join[i], k)]
     for cell in extra:
         if cell != t0 and cell not in pairs.values():
             raise ShapeDatumError(f"kappa has non-optional extra square {cell}")
     bit = 1 if t0 in extra else 0
-    meet = tuple(min(part(mu, i), part(nu, i)) for i in range(max(len(mu), len(nu))))
     removed = [s for s, t in pairs.items() if t in extra]
-    lam_rows = list(meet)
+    lam_rows = list(map(min, mp, np_))
     for i, j in sorted(removed, reverse=True):
         if lam_rows[i] != j + 1:
             raise ShapeDatumError(f"cannot remove optional square {(i, j)}")
@@ -284,7 +297,7 @@ def dual_backward(mu, nu, kappa, flavor: str) -> tuple[Partition, int]:
     lam = trim(lam_rows)
     if not is_partition(lam):
         raise ShapeDatumError(f"backward datum produced a non-partition: {lam}")
-    if dual_forward(lam, mu, nu, bit, flavor) != kappa:
+    if _dual(lam, mu, nu, bit, flavor) != kappa:
         raise ShapeDatumError("backward datum does not invert the forward datum")
     return lam, bit
 
@@ -335,15 +348,6 @@ def _corner_submatrix(m: Matrix, orientation: str, i: int, j: int) -> Matrix:
     raise ValueError(f"unknown orientation: {orientation}")
 
 
-def _local_rule(mode_binary: bool, orientation: str):
-    if mode_binary:
-        flavor = ROW_INSERTION if orientation in (NW, SE) else COL_INSERTION
-        return lambda lam, mu, nu, m: dual_forward(lam, mu, nu, m, flavor)
-    if orientation in (NW, SE):
-        return burge_forward
-    return rsk_forward
-
-
 def growth_diagram(m: Matrix, orientation: str = NW, verify: bool = False) -> GrowthDiagram:
     """Implicit shapes of all corner submatrices, computed by local rules.
 
@@ -351,36 +355,24 @@ def growth_diagram(m: Matrix, orientation: str = NW, verify: bool = False) -> Gr
     implicit shape of the orientation's corner submatrix cut at (i, j).
     With verify=True every cell is checked against direct normalization.
     """
-    mt = m.trimmed()
-    h, w = mt.height, mt.width
-    rule = _local_rule(mt.binary, orientation)
-    grid = [[() for _ in range(w + 1)] for _ in range(h + 1)]
-    if orientation == NW:
-        for k in range(h):
-            for l in range(w):
-                grid[k + 1][l + 1] = rule(
-                    grid[k][l], grid[k][l + 1], grid[k + 1][l], mt[k, l]
-                )
-    elif orientation == NE:
-        for k in range(h):
-            for l in range(w - 1, -1, -1):
-                grid[k + 1][l] = rule(
-                    grid[k][l + 1], grid[k][l], grid[k + 1][l + 1], mt[k, l]
-                )
-    elif orientation == SW:
-        for k in range(h - 1, -1, -1):
-            for l in range(w):
-                grid[k][l + 1] = rule(
-                    grid[k + 1][l], grid[k + 1][l + 1], grid[k][l], mt[k, l]
-                )
-    elif orientation == SE:
-        for k in range(h - 1, -1, -1):
-            for l in range(w - 1, -1, -1):
-                grid[k][l] = rule(
-                    grid[k + 1][l + 1], grid[k + 1][l], grid[k][l + 1], mt[k, l]
-                )
-    else:
+    if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown orientation: {orientation}")
+    mt = m.trimmed()
+    h, w, rows = mt.height, mt.width, mt.rows
+    # the stored shapes are trimmed rule outputs: call the rules unwrapped
+    if not mt.binary:
+        rule, extra = (_burge if orientation in (NW, SE) else _rsk), ()
+    else:
+        rule, extra = _dual, (ROW_INSERTION if orientation in (NW, SE) else COL_INSERTION,)
+    grid = [[() for _ in range(w + 1)] for _ in range(h + 1)]
+    # square (k, l) carries lam at its corner nearest the orientation's
+    # corner and kappa at the opposite one; mu shares lam's row, nu its column
+    north, west = orientation in (NW, NE), orientation in (NW, SW)
+    for k in range(h) if north else range(h - 1, -1, -1):
+        lam_row, kappa_row, row = grid[k + 1 - north], grid[k + north], rows[k]
+        for l in range(w) if west else range(w - 1, -1, -1):
+            c, d = l + 1 - west, l + west
+            kappa_row[d] = rule(lam_row[c], lam_row[d], kappa_row[c], row[l], *extra)
     gd = GrowthDiagram(orientation, tuple(tuple(r) for r in grid), mt)
     if verify:
         for i in range(h + 1):

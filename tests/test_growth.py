@@ -463,3 +463,86 @@ def test_dual_forward_checks_after_the_strip_relations_never_fire():
             assert size(kappa) == size(mu) + size(nu) - size(lam) + bit
             seen += 1
     assert seen == 4076
+
+
+def _reference_grid(m, orientation):
+    """The grid of growth_diagram point by point, each through the public
+    rule on its three neighbours towards the orientation's corner, with
+    trailing zeros appended to every shape fed in."""
+    mt = m.trimmed()
+    h, w = mt.height, mt.width
+    di = -1 if orientation in (NW, NE) else 1
+    dj = -1 if orientation in (NW, SW) else 1
+    if mt.binary:
+        flavor = ROW_INSERTION if orientation in (NW, SE) else COL_INSERTION
+
+        def rule(lam, mu, nu, e):
+            return dual_forward(lam, mu, nu, e, flavor)
+    else:
+        rule = burge_forward if orientation in (NW, SE) else rsk_forward
+    shapes = {}
+
+    def shape(i, j):
+        if (i, j) not in shapes:
+            if not (0 <= i + di <= h and 0 <= j + dj <= w):
+                shapes[i, j] = ()
+            else:
+                lam, mu, nu = shape(i + di, j + dj), shape(i + di, j), shape(i, j + dj)
+                e = mt[min(i, i + di), min(j, j + dj)]
+                shapes[i, j] = rule(lam + (0,) * (i % 3 + 1), mu + (0, 0), nu + (0,) * (j % 2 + 1), e)
+        return shapes[i, j]
+
+    return tuple(tuple(shape(i, j) for j in range(w + 1)) for i in range(h + 1))
+
+
+def test_growth_diagram_matches_public_rules_on_untrimmed_shapes():
+    rng = random.Random(11)
+    for t in range(40):
+        binary = t % 2 == 0
+        h, w = rng.randint(0, 16), rng.randint(0, 16)
+        density = rng.random()
+        top = 1 if binary else rng.randint(1, 3)
+        cls = BinaryMatrix if binary else IntegralMatrix
+        m = cls([[rng.randint(1, top) if rng.random() < density else 0 for _ in range(w)]
+                 for _ in range(h)])
+        for o in ORIENTATIONS:
+            grid = growth_diagram(m, o).grid
+            assert grid == _reference_grid(m, o)
+            assert all(not s or s[-1] for row in grid for s in row)
+
+
+def test_shape_datum_error_messages():
+    # untrimmed, bool and float parts are trimmed to ints before any check,
+    # and the entry and bit are checked before the strip relations
+    strip = "need lam <=h mu and lam <=h nu: "
+    vstrip = "need lam <=v mu and lam <=h nu: "
+    back = "need mu <=h kappa and nu <=h kappa: "
+    vback = "need mu <=h kappa and nu <=v kappa: "
+    R, C = ROW_INSERTION, COL_INSERTION
+    cases = [
+        (dual_forward, ((1,), (1,), (1,), 2, R), "bit must be 0 or 1"),
+        (dual_forward, ((3,), (1,), (), -1, C), "bit must be 0 or 1"),
+        (dual_forward, ((1, 2), (2, 2), (2, 2, 0), 0, R), vstrip + "(1, 2), (2, 2), (2, 2)"),
+        (dual_forward, ((True,), (3.0,), (1, 0), 1, C), vstrip + "(1,), (3,), (1,)"),
+        (dual_forward, ((2, 1), (2, 1), (1, 1), 0, R), vstrip + "(2, 1), (2, 1), (1, 1)"),
+        (dual_forward, ((1, -1), (1,), (1,), 0, R), vstrip + "(1, -1), (1,), (1,)"),
+        (burge_backward, ((2,), (1,), (1, 1, 0)), back + "(2,), (1,), (1, 1)"),
+        (burge_backward, ((False, 0), (), (True, 1)), back + "(), (), (1, 1)"),
+        (rsk_backward, ((2,), (1,), (1, 1, 0)), back + "(2,), (1,), (1, 1)"),
+        (rsk_backward, ((False, 0), (), (True, 1)), back + "(), (), (1, 1)"),
+        (dual_backward, ((1,), (1,), (3,), R), vback + "(1,), (1,), (3,)"),
+        (dual_backward, ((2, 0), (1,), (1, 1), C), vback + "(2,), (1,), (1, 1)"),
+        (dual_backward, ((1, 0), (True, True, True), (2, 1, 1, 1), R),
+         vback + "(1,), (1, 1, 1), (2, 1, 1, 1)"),
+    ]
+    for rule in (burge_forward, rsk_forward):
+        cases += [
+            (rule, ((1,), (1,), (1,), -1), "entry must be nonnegative"),
+            (rule, ((3,), (1,), (2,), -1), "entry must be nonnegative"),
+            (rule, ((2, 0), (1, 0, 0), (True, True), 0), strip + "(2,), (1,), (1, 1)"),
+            (rule, ((-1,), (), (), 0), strip + "(-1,), (), ()"),
+        ]
+    for rule, args, message in cases:
+        assert outcome(rule, *args) == (ShapeDatumError, message), (rule.__name__, args)
+    assert outcome(dual_forward, (), (), (0, 0), 0, "diagonal") == (
+        ValueError, "unknown flavor: diagonal")
