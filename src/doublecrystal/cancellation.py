@@ -13,6 +13,9 @@ Either failure raises BoxTooSmall.
 The brute stage sums f * g over every matrix in the box, grouped by margin
 pair: for each pair of compositions with nonzero edge symbols it multiplies
 the symbols by the number of matrices with those row and column sums.
+
+The LR involution's witness is read off the first failing step of the
+matrix's LR chain, which the `matrices` module docstring states.
 """
 
 from functools import lru_cache
@@ -31,9 +34,8 @@ from .matrices import (
     STAGES,
     TAB_FIRST,
     TABLEAU,
-    BinaryMatrix,
-    IntegralMatrix,
     Matrix,
+    chain_walk,
     condition,
     encode,
     mode_of,
@@ -308,41 +310,6 @@ def alternating_sum(shape1: SkewShape, shape2: SkewShape, stage: str, mode: str,
     return v
 
 
-def _lr_witness_binary(m: BinaryMatrix, mu):
-    """(l, i): maximal l whose suffix-column composition fails to be a
-    partition, and the minimal i with beta_{i+1} = beta_i + 1 there."""
-    acc = list(mu)
-    for l in range(m.width - 1, -1, -1):
-        for i in range(m.height):
-            if m.rows[i][l]:
-                while len(acc) <= i:
-                    acc.append(0)
-                acc[i] += m.rows[i][l]
-        if not is_partition(acc):
-            for i in range(len(acc) + 1):
-                if part(acc, i + 1) == part(acc, i) + 1:
-                    return l, i
-            raise AssertionError("failure without a unit step")
-    return None
-
-
-def _lr_witness_integral(m: IntegralMatrix, mu):
-    """(k, j): first row k breaking the horizontal-strip chain, and the
-    maximal witness column j there."""
-    prev = trim(mu)
-    for k in range(m.height):
-        nxt = add(prev, m.row(k))
-        bad = [
-            j
-            for j in range(max(len(prev), len(nxt)) + 1)
-            if part(prev, j) < part(nxt, j + 1)
-        ]
-        if bad:
-            return k, max(bad)
-        prev = nxt
-    return None
-
-
 def _ladder_apply(m, d, raise_dir, lower_dir, index):
     """e^d(m) along the ladder at index: d raising moves, or -d lowering."""
     ops = cb if m.binary else ci
@@ -371,26 +338,36 @@ def involution(m: Matrix, shape: SkewShape, which: str, mode: str | None = None)
         return out.transpose()
     if which != LR:
         raise ValueError(f"unknown condition kind: {which}")
-    mu = shape.inner
-    if m.binary:
-        witness = _lr_witness_binary(m, mu)
-        if witness is None:
-            raise NotCancellable("all suffix-column compositions are partitions")
-        _, i = witness
-        alpha = add(mu, m.row_sums())
-        d = part(alpha, i + 1) - part(alpha, i) - 1
-        return _ladder_apply(m, d, UP, DOWN, i)
-    witness = _lr_witness_integral(m, mu)
+    witness = lr_witness(m, shape)
     if witness is None:
+        if m.binary:
+            raise NotCancellable("all suffix-column compositions are partitions")
         raise NotCancellable("the cumulative-row chain is all horizontal strips")
-    _, j = witness
-    alpha = add(mu, m.col_sums())
-    d = part(alpha, j + 1) - part(alpha, j) - 1
-    return _ladder_apply(m, d, LEFT, RIGHT, j)
+    _, i = witness
+    alpha = add(shape.inner, m.row_sums() if m.binary else m.col_sums())
+    d = part(alpha, i + 1) - part(alpha, i) - 1
+    if m.binary:
+        return _ladder_apply(m, d, UP, DOWN, i)
+    return _ladder_apply(m, d, LEFT, RIGHT, i)
 
 
 def lr_witness(m: Matrix, shape: SkewShape):
-    """Expose the cancellation witness for tests and traces."""
+    """The cancellation witness at the first line that breaks the LR chain
+    of m from shape.inner (margins play no role), or None.
+
+    Binary: (l, i) with l the column whose suffix-column composition is the
+    first that fails to be a partition, and the minimal i with
+    beta_{i+1} = beta_i + 1 there.  Integral: (k, j) with k the first row
+    breaking the horizontal-strip chain, and the maximal j with
+    prev_j < next_{j+1} there.
+    """
+    chain, k = chain_walk(m, shape.inner, LR)
+    if k is None:
+        return None
+    prev, nxt = chain[-2], chain[-1]
     if m.binary:
-        return _lr_witness_binary(m, shape.inner)
-    return _lr_witness_integral(m, shape.inner)
+        for i in range(len(nxt)):
+            if part(nxt, i + 1) == part(nxt, i) + 1:
+                return m.width - 1 - k, i
+        raise AssertionError("failure without a unit step")
+    return k, max(j for j in range(len(nxt)) if part(prev, j) < part(nxt, j + 1))

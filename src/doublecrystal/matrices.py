@@ -5,6 +5,24 @@ Matrices are finitely supported maps N x N -> N stored densely as a
 rectangle of rows; reads outside the stored rectangle give 0, and equality
 ignores zero padding.  Binary and integral matrices are separate types and
 are never converted implicitly.
+
+The tableau sets BE/IE and the Littlewood-Richardson sets BL/IL for a skew
+shape outer/inner read the matrix as a chain of shapes: from a start
+partition, add the matrix's lines one at a time; every running sum must be
+a strip of the step relation over the one before.  `chain_walk` is the one
+walk of these chains; `condition`, `decode`, the cancellation witness and
+`pictures.lift` all read them through it.
+
+    mode      condition  lines added             start             step relation
+    binary    tableau    rows, top to bottom     conjugate(inner)  vertical strip
+    binary    LR         columns, right to left  inner             vertical strip
+    integral  tableau    columns, left to right  inner             horizontal strip
+    integral  LR         rows, top to bottom     inner             horizontal strip
+
+A 0/1 line added to a partition makes a vertical strip exactly when the
+sum is a partition.  Membership also needs the margins to match the shape:
+the complete chain must end at outer (at conjugate(outer) for the binary
+tableau chain).
 """
 
 import json
@@ -318,35 +336,6 @@ def encode(t: Tableau, mode: str) -> Matrix:
     raise ValueError(f"unknown mode: {mode}")
 
 
-def _binary_chain(m: Matrix, inner) -> list[Partition]:
-    """Conjugated cumulative-row chain; raises DecodeError at first bad step."""
-    acc = list(conjugate(inner))
-    chain = [trim(acc)]
-    for k in range(m.height):
-        for j, x in enumerate(m.rows[k]):
-            if x:
-                while len(acc) <= j:
-                    acc.append(0)
-                acc[j] += 1
-        if not is_partition(acc):
-            raise DecodeError(f"cumulative conjugate shape not a partition at row {k + 1}")
-        chain.append(trim(acc))
-    return [conjugate(c) for c in chain]
-
-
-def _integral_chain(m: Matrix, inner) -> list[Partition]:
-    """Cumulative-column chain; raises DecodeError at first bad step."""
-    acc = trim(inner)
-    chain = [acc]
-    for l in range(m.width):
-        nxt = add(acc, m.col(l))
-        if not strip_le(acc, nxt, HORIZONTAL):
-            raise DecodeError(f"chain step at column {l + 1} is not a horizontal strip")
-        chain.append(nxt)
-        acc = nxt
-    return chain
-
-
 def decode(m: Matrix, shape: SkewShape, mode: str) -> Tableau:
     """Reconstruct the semistandard tableau of the given shape encoded by m."""
     if mode_of(m) != mode:
@@ -354,11 +343,15 @@ def decode(m: Matrix, shape: SkewShape, mode: str) -> Tableau:
     if mode == BINARY:
         if m.col_sums() != sub_or_none(conjugate(shape.outer), conjugate(shape.inner)):
             raise DecodeError("column sums do not match the conjugate shape difference")
-        chain = _binary_chain(m, shape.inner)
-    else:
-        if m.row_sums() != sub_or_none(shape.outer, shape.inner):
-            raise DecodeError("row sums do not match the shape difference")
-        chain = _integral_chain(m, shape.inner)
+    elif m.row_sums() != sub_or_none(shape.outer, shape.inner):
+        raise DecodeError("row sums do not match the shape difference")
+    chain, k = chain_walk(m, shape.inner, TABLEAU)
+    if k is not None:
+        if mode == BINARY:
+            raise DecodeError(f"cumulative conjugate shape not a partition at row {k + 1}")
+        raise DecodeError(f"chain step at column {k + 1} is not a horizontal strip")
+    if mode == BINARY:
+        chain = [conjugate(c) for c in chain]
     if chain[-1] != shape.outer:
         raise DecodeError("chain does not end at the outer shape")
     return Tableau(SST, tuple(chain))
@@ -371,55 +364,41 @@ def sub_or_none(alpha, beta):
         return None
 
 
+def chain_walk(m: Matrix, inner: Partition, which: str) -> tuple[list[Partition], int | None]:
+    """Walk the chain that condition `which` reads from m, from inner (see
+    the module docstring for its start, lines and step relation).
+
+    Returns (chain, k): k is the index of the first line whose sum breaks
+    the step relation, and chain runs from the start to that sum; or k is
+    None and chain ends at the start plus every line.
+    """
+    if which == TABLEAU:
+        start, lines = (conjugate(inner), m.rows) if m.binary else (inner, zip(*m.rows))
+    elif which == LR:
+        start, lines = (inner, list(zip(*m.rows))[::-1]) if m.binary else (inner, m.rows)
+    else:
+        raise ValueError(f"unknown condition kind: {which}")
+    chain = [trim(start)]
+    for k, line in enumerate(lines):
+        chain.append(add(chain[-1], line))
+        if not (is_partition(chain[-1]) if m.binary
+                else strip_le(chain[-2], chain[-1], HORIZONTAL)):
+            return chain, k
+    return chain, None
+
+
+def member_chain(m: Matrix, shape: SkewShape, which: str) -> list[Partition] | None:
+    """The chain of `which` read from m when m is in the set of that
+    condition for shape, else None.  Beyond every step holding, the margins
+    must match, which is the chain ending at outer (conjugated for the
+    binary tableau condition)."""
+    chain, k = chain_walk(m, shape.inner, which)
+    end = conjugate(shape.outer) if m.binary and which == TABLEAU else shape.outer
+    return chain if k is None and chain[-1] == end else None
+
+
 def condition(m: Matrix, shape: SkewShape, which: str, mode: str) -> bool:
     """The four membership predicates BE/IE (tableau) and BL/IL (LR)."""
     if mode_of(m) != mode:
         raise ValueError("matrix type does not match mode")
-    outer, inner = shape.outer, shape.inner
-    if which == TABLEAU:
-        if mode == BINARY:
-            if m.col_sums() != sub_or_none(conjugate(outer), conjugate(inner)):
-                return False
-            acc = list(conjugate(inner))
-            for r in m.rows:
-                for j, x in enumerate(r):
-                    if x:
-                        while len(acc) <= j:
-                            acc.append(0)
-                        acc[j] += x
-                if not is_partition(acc):
-                    return False
-            return True
-        if m.row_sums() != sub_or_none(outer, inner):
-            return False
-        acc = inner
-        for l in range(m.width):
-            nxt = add(acc, m.col(l))
-            if not strip_le(acc, nxt, HORIZONTAL):
-                return False
-            acc = nxt
-        return True
-    if which == LR:
-        if mode == BINARY:
-            if m.row_sums() != sub_or_none(outer, inner):
-                return False
-            acc = list(inner)
-            for l in range(m.width - 1, -1, -1):
-                for i in range(m.height):
-                    if m.rows[i][l]:
-                        while len(acc) <= i:
-                            acc.append(0)
-                        acc[i] += m.rows[i][l]
-                if not is_partition(acc):
-                    return False
-            return True
-        if m.col_sums() != sub_or_none(outer, inner):
-            return False
-        acc = inner
-        for k in range(m.height):
-            nxt = add(acc, m.row(k))
-            if not strip_le(acc, nxt, HORIZONTAL):
-                return False
-            acc = nxt
-        return True
-    raise ValueError(f"unknown condition kind: {which}")
+    return member_chain(m, shape, which) is not None

@@ -4,20 +4,20 @@ Int/Bin matrix projections, and lifting matrices back to pictures.
 A picture f satisfies s <=NW t  =>  f(s) <=NE f(t) and
 f(s) <=NW f(t)  =>  s <=NE t, where (i,j) <=NW (k,l) means i<=k, j<=l and
 (i,j) <=NE (k,l) means i<=k, j>=l.
+
+`lift` reads the matrix's tableau chain for the domain and its LR chain
+for the codomain; the `matrices` module docstring states both.
 """
 
 from .matrices import (
-    BINARY,
-    INTEGRAL,
     LR,
     TABLEAU,
     BinaryMatrix,
     IntegralMatrix,
     Matrix,
-    condition,
-    mode_of,
+    member_chain,
 )
-from .shapes import Frozen, SkewShape, add, conjugate, part
+from .shapes import Frozen, SkewShape, part
 
 INT = "Int"
 BIN = "Bin"
@@ -104,16 +104,6 @@ def project(f: Picture, mode: str) -> Matrix:
     raise ValueError(f"unknown projection mode: {mode}")
 
 
-def _int_chains(m: IntegralMatrix, dom: SkewShape, cod: SkewShape):
-    dom_chain = [dom.inner]
-    for c in range(m.width):
-        dom_chain.append(add(dom_chain[-1], m.col(c)))
-    cod_chain = [cod.inner]
-    for r in range(m.height):
-        cod_chain.append(add(cod_chain[-1], m.row(r)))
-    return dom_chain, cod_chain
-
-
 def lift(m: Matrix, dom: SkewShape, cod: SkewShape, mode: str) -> Picture:
     """The unique picture with the given projection.
 
@@ -121,16 +111,18 @@ def lift(m: Matrix, dom: SkewShape, cod: SkewShape, mode: str) -> Picture:
     assigned greedily in Semitic (Int) or Kanji (Bin) reading order, each
     square having a single viable target.
     """
-    mmode = INTEGRAL if mode == INT else BINARY
-    if mode_of(m) != mmode:
+    if mode not in (INT, BIN):
+        raise ValueError(f"unknown projection mode: {mode}")
+    if m.binary != (mode == BIN):
         raise LiftError("matrix type does not match the projection mode")
-    if not condition(m, dom, TABLEAU, mmode):
+    dom_chain = member_chain(m, dom, TABLEAU)
+    if dom_chain is None:
         raise LiftError(f"matrix is not a tableau encoding of shape {dom}")
-    if not condition(m, cod, LR, mmode):
+    cod_chain = member_chain(m, cod, LR)
+    if cod_chain is None:
         raise LiftError(f"matrix fails the LR condition for {cod}")
     mapping = []
     if mode == INT:
-        dom_chain, cod_chain = _int_chains(m, dom, cod)
         for i in range(len(dom.outer)):
             for c in range(m.width):
                 lo, hi = part(dom_chain[c], i), part(dom_chain[c + 1], i)
@@ -140,21 +132,14 @@ def lift(m: Matrix, dom: SkewShape, cod: SkewShape, mode: str) -> Picture:
                 for offset in range(hi - lo):
                     mapping.append(((i, hi - 1 - offset), (c, base + offset)))
     else:
-        # binary: chains by cumulative rows (domain, conjugated) and
-        # suffix columns (codomain)
-        dom_conj = [conjugate(dom.inner)]
-        for r in range(m.height):
-            dom_conj.append(add(dom_conj[-1], m.row(r)))
-        cod_suffix = [cod.inner]
-        for j in range(m.width - 1, -1, -1):
-            cod_suffix.append(add(cod_suffix[-1], m.col(j)))
-        cod_suffix.reverse()  # cod_suffix[j] = inner + columns >= j
+        # dom_chain is conjugated; cod_suffix[j] = cod.inner + columns >= j
+        cod_suffix = cod_chain[::-1]
         for c in range(m.height):
             for j in range(m.width):
                 if m[c, j]:
                     # the square of domain column j with entry c sits at row
                     # (height of column j among entries < c)
-                    i = part(dom_conj[c], j)
+                    i = part(dom_chain[c], j)
                     mapping.append(((i, j), (c, part(cod_suffix[j + 1], c))))
     pic = Picture(dom, cod, tuple(mapping))
     if not validate(pic.mapping, dom, cod):

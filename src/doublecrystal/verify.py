@@ -45,6 +45,7 @@ from .shapes import (
     SST,
     SkewShape,
     Tableau,
+    part,
     partitions_up_to,
     subpartitions,
     trim,
@@ -142,8 +143,6 @@ def suite_potentials(rng):
                     n += 1
                 if n != potential(m, d, idx):
                     return False
-            from .shapes import part
-
             if potential(m, DOWN, idx) - potential(m, UP, idx) != part(rs, idx) - part(rs, idx + 1):
                 return False
             if potential(m, RIGHT, idx) - potential(m, LEFT, idx) != part(cs, idx) - part(cs, idx + 1):

@@ -230,3 +230,17 @@ def test_unknown_suite_exit_2_before_any_suite_runs(capsys, suites):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "usage error: unknown suite 'nosuch'\n"
+
+
+@pytest.mark.parametrize("mode,shape,text,message", [
+    ("binary", "2", "0 0\n0 1\n1 0\n", "cumulative conjugate shape not a partition at row 2"),
+    ("integral", "2,2", "1 1\n0 2\n", "chain step at column 2 is not a horizontal strip"),
+])
+def test_decode_failing_the_tableau_condition_exit_1(tmp_path, capsys, mode, shape, text,
+                                                     message):
+    f = tmp_path / "m.txt"
+    f.write_text(text)
+    assert run(["decode", "--mode", mode, "--shape", shape, str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"

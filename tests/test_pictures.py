@@ -27,7 +27,7 @@ from doublecrystal.pictures import (
 )
 from doublecrystal.shapes import SkewShape, partitions_up_to, subpartitions
 
-from conftest import M_BIN, M_INT
+from conftest import M_BIN, M_INT, outcome
 
 
 def test_single_square():
@@ -99,6 +99,15 @@ def test_lift_errors():
         lift(BinaryMatrix([[1]]), one, one, INT)
     with pytest.raises(SizeError):
         enumerate_pictures(SkewShape((9,)), SkewShape((9,)))
+
+
+@pytest.mark.parametrize("m", [IntegralMatrix([[1]]), BinaryMatrix([[1]])],
+                         ids=["integral", "binary"])
+def test_lift_rejects_an_unknown_mode_first(m):
+    # the matrix fails the tableau condition for dom too; the mode is checked first
+    one = SkewShape((1,))
+    assert outcome(lift, m, SkewShape((2,)), one, "banana") == (
+        ValueError, "unknown projection mode: banana")
 
 
 def test_counts_match_lr_count_and_roundtrip():
