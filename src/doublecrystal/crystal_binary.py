@@ -190,11 +190,6 @@ def ladder_runs(rows: list, d: str, index: int, k: Optional[int] = None) -> list
     return runs
 
 
-def ladder_rows(rows: list, d: str, index: int, k: Optional[int] = None) -> list[MoveRecord]:
-    """`ladder` in place on a list of row lists; returns the records."""
-    return _records(d, index, ladder_runs(rows, d, index, k))
-
-
 def ladder(
     m: BinaryMatrix, d: str, index: int, k: Optional[int] = None
 ) -> tuple[BinaryMatrix, tuple[MoveRecord, ...]]:

@@ -139,11 +139,6 @@ def ladder_runs(rows: list, d: str, index: int, k: Optional[int] = None) -> list
     return runs
 
 
-def ladder_rows(rows: list, d: str, index: int, k: Optional[int] = None) -> list[TransferRecord]:
-    """`ladder` in place on a list of row lists; returns the records."""
-    return _records(d, index, ladder_runs(rows, d, index, k))
-
-
 def ladder(
     m: IntegralMatrix, d: str, index: int, k: Optional[int] = None
 ) -> tuple[IntegralMatrix, tuple[TransferRecord, ...]]:

@@ -5,13 +5,12 @@ Exhausting upward or leftward moves always terminates and the result is
 independent of the order; downward/rightward exhaustion needs an index
 bound k (moves dnm_i / rtm_j are attempted for i, j in [0, k-1) only).
 
-Two orders reach it.  `exhaust` keeps the canonical adaptive order and one
-record per unit move, for callers that read the moves.  `decompose`,
-`compose`, `normal_form` and `crystal_class_potentials` use `_sweep`,
-which climbs each ladder at most once along a fixed reduced word of the
-longest permutation and keeps only (index, units) per ladder: by string
-parametrization (Littelmann 1998; Berenstein-Zelevinsky 2001) maximal
-raising along any reduced word of w0 reaches the highest-weight element.
+One loop, `_sweep`, exhausts: it climbs each ladder at most once along a
+fixed reduced word of the longest permutation, and by string
+parametrization (Littelmann 1998; Berenstein-Zelevinsky 2001) reaches
+the highest-weight (raising) or lowest-weight (lowering) element.
+`exhaust` adds one record per unit move; every other caller, the
+Schutzenberger dual included, reads the sweep's ladders directly.
 """
 
 from typing import Optional
@@ -69,58 +68,48 @@ def _directions(directions, bound: Optional[int]) -> tuple[str, ...]:
 def exhaust(m: Matrix, directions, bound: Optional[int] = None):
     """Apply moves from the given directions until none is possible.
 
-    Canonical (adaptive) order: scan directions in (up, down, left, right)
-    order, take the lowest index admitting a move and climb that ladder
-    completely, then scan again.  A ladder at index i changes only the
-    potentials at i-1, i and i+1, so each scan resumes at index i-1 (not
-    0) of the same direction; moves of one axis leave the other axis's
-    potentials unchanged, so the directions are exhausted one after the
-    other.  Opposite directions undo each other and are rejected.  Returns
-    (matrix, tuple of move records).
+    Canonical order, `_sweep`'s: directions in (up, down, left, right)
+    order; per direction, passes top = 0, 1, ... climb the ladders at
+    top, top-1, ... down to the first that does not move.  A pass ends
+    with every ladder up to top exhausted, so each climb is at the lowest
+    index admitting a move.  Moves of one axis leave the other axis's
+    potentials unchanged; opposite directions undo each other and are
+    rejected.  Returns (matrix, tuple of move records), one per unit move.
+    """
+    ops = _ops(m)
+    out, ladders = _sweep(m, directions, bound)
+    records = []
+    for d, index, runs in ladders:
+        records += ops._records(d, index, runs)
+    return out, tuple(records)
 
-    The result does not depend on the order; `_sweep` reaches it in the
-    fixed reduced-word order without records.
+
+def _sweep(m: Matrix, directions, bound: Optional[int] = None):
+    """`exhaust`'s matrix, and its ladders instead of records.
+
+    Climbs each ladder at most once along the reduced word of the longest
+    permutation (0)(1 0)(2 1 0)...: for top in 0..`_index_limit`-1,
+    indices top down to 0.  The maximal raising (lowering) power along any
+    reduced word of the longest element reaches the highest (lowest)
+    weight element (string parametrization: Littelmann, "Cones, crystals,
+    and patterns", 1998; Berenstein-Zelevinsky 2001).  Each pass for top
+    starts with indices 0..top-1 exhausted; once the ladder at index i
+    does not move, lines 0..i are as the pass found them, so indices below
+    i cannot move and the pass stops: at most (ladders climbed + limit)
+    scans.  Returns (matrix, [(direction, index, runs), ...]) per ladder
+    that moved, in climb order, runs as `ladder_runs` returns them.
     """
     directions = _directions(directions, bound)
     ops = _ops(m)
     rows = [list(r) for r in m.rows]
-    records = []
-    for d in directions:
-        limit = _index_limit(m, d, bound)
-        index = 0
-        while index < limit:
-            climbed = ops.ladder_rows(rows, d, index)
-            records += climbed
-            index = max(index - 1, 0) if climbed else index + 1
-    return type(m)._wrap(tuple(map(tuple, rows))), tuple(records)
-
-
-def _sweep(m: Matrix, directions):
-    """`exhaust`'s matrix for raising directions in a fixed reduced-word
-    order, without records.
-
-    Climbs each ladder at most once along the reduced word of the longest
-    permutation (0)(1 0)(2 1 0)...: for top in 0..limit-1, indices top
-    down to 0.  Applying the maximal raising power along any reduced word
-    of the longest element reaches the highest-weight element (string
-    parametrization: Littelmann, "Cones, crystals, and patterns", 1998;
-    Berenstein-Zelevinsky 2001).  Each pass for top starts with indices
-    0..top-1 exhausted; once the ladder at index i does not move, lines
-    0..i are as the pass found them, so indices below i cannot move and
-    the pass stops: at most (ladders climbed + limit) scans.  Returns
-    (matrix, [(index, units), ...]) listing the ladders that moved.
-    """
-    directions = _directions(directions, None)
-    ops = _ops(m)
-    rows = [list(r) for r in m.rows]
     ladders = []
     for d in directions:
-        for top in range(_index_limit(m, d, None)):
+        for top in range(_index_limit(m, d, bound)):
             for index in range(top, -1, -1):
                 runs = ops.ladder_runs(rows, d, index)
                 if not runs:
                     break
-                ladders.append((index, sum(n for _, n in runs)))
+                ladders.append((d, index, runs))
     return type(m)._wrap(tuple(map(tuple, rows))), ladders
 
 
@@ -173,8 +162,8 @@ def compose(p: Matrix, q: Matrix) -> Matrix:
         raise ComposeError("need rsum(P) = csum(Q)")
     _, ladders = _sweep(q, (UP,))
     rows = [list(r) for r in p.rows]
-    for index, k in reversed(ladders):
-        ops.ladder_runs(rows, DOWN, index, k)
+    for _, index, runs in reversed(ladders):
+        ops.ladder_runs(rows, DOWN, index, sum(n for _, n in runs))
     m = type(p)._wrap(tuple(map(tuple, rows)))
     check_p, check_q = decompose(m)
     if check_p != p or check_q != q:

@@ -123,7 +123,8 @@ def lift(m: Matrix, dom: SkewShape, cod: SkewShape, mode: str) -> Picture:
         raise LiftError(f"matrix fails the LR condition for {cod}")
     mapping = []
     if mode == INT:
-        for i in range(len(dom.outer)):
+        # rows of dom below the matrix's last row hold no squares of it
+        for i in range(m.height):
             for c in range(m.width):
                 lo, hi = part(dom_chain[c], i), part(dom_chain[c + 1], i)
                 # domain squares of row i with entry c, right to left, map to

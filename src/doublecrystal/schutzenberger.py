@@ -10,7 +10,7 @@ from reverted partial margins.
 from itertools import accumulate
 
 from .crystal_binary import DOWN, UP
-from .decomposition import exhaust
+from .decomposition import _sweep
 from .matrices import BinaryMatrix, IntegralMatrix
 from .shapes import (
     REVERSE,
@@ -32,15 +32,13 @@ DUAL_FLAVOR = {
 }
 
 
-def _column_diffs(chain, rows: int, reverted: bool):
+def _column_diffs(chain, rows: int):
     """Matrix whose column j is chain[j] - chain[j+1] (decreasing chains)
-    or chain[j+1] - chain[j], optionally reverted into `rows` slots."""
+    or chain[j+1] - chain[j]."""
     cols = []
     for a, b in zip(chain, chain[1:]):
         big, small = (a, b) if sum(a) >= sum(b) else (b, a)
         d = sub(big, small)
-        if reverted:
-            d = tuple(part(d, rows - 1 - i) for i in range(rows))
         cols.append(tuple(part(d, i) for i in range(rows)))
     return tuple(zip(*cols)) if cols else ()
 
@@ -85,23 +83,23 @@ def dual(t: Tableau) -> Tableau:
     n = len(t.chain) - 1
     if t.flavor == SST:
         # integral encoding: column j = chain[j+1] - chain[j]
-        p = IntegralMatrix(_column_diffs(t.chain, k, reverted=False))
-        pt, _ = exhaust(p, (DOWN,)) if k else (p, ())
+        p = IntegralMatrix(_column_diffs(t.chain, k))
+        pt, _ = _sweep(p, (DOWN,))
         chain = tuple(revert(c, k) for c in _partial_row_sums(pt, k, n, suffix=True))
         return Tableau(REVERSE, chain)
     if t.flavor == REVERSE:
         ptilde = IntegralMatrix(_revert_delta(t.chain, k))
-        p, _ = exhaust(ptilde, (UP,))
+        p, _ = _sweep(ptilde, (UP,))
         return Tableau(SST, tuple(_partial_row_sums(p, k, n, suffix=False)))
     if t.flavor == REVERSE_TRANSPOSE:
         # binary encoding by columns: column j = chain[j] - chain[j+1]
-        p = BinaryMatrix(_column_diffs(t.chain, k, reverted=False))
-        pt, _ = exhaust(p, (DOWN,)) if k else (p, ())
+        p = BinaryMatrix(_column_diffs(t.chain, k))
+        pt, _ = _sweep(p, (DOWN,))
         chain = tuple(revert(c, k) for c in _partial_row_sums(pt, k, n, suffix=False))
         return Tableau(TRANSPOSE, chain)
     # TRANSPOSE
     ptilde = BinaryMatrix(_revert_delta(t.chain, k))
-    p, _ = exhaust(ptilde, (UP,))
+    p, _ = _sweep(ptilde, (UP,))
     return Tableau(REVERSE_TRANSPOSE, tuple(_partial_row_sums(p, k, n, suffix=True)))
 
 

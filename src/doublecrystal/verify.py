@@ -19,7 +19,6 @@ from .crystal_binary import DIRECTIONS, DOWN, LEFT, OPPOSITE, RIGHT, UP, MoveRec
 from .crystal_integral import TransferRecord
 from .decomposition import (
     UsageError,
-    _sweep,
     apply_move,
     compose,
     decompose,
@@ -107,6 +106,27 @@ def oracle_move(m, d, index):
     return out, rec
 
 
+def oracle_exhaust(m, directions, bound=None):
+    """Per-move exhaustion with `oracle_move`: the lowest index of the
+    first direction that admits a move is climbed completely, then the
+    scan restarts at 0.  Returns (matrix, tuple of move records)."""
+    limits = {}
+    for d in directions:
+        extent = m.height if d in (UP, DOWN) else m.width
+        limits[d] = extent if d in (UP, LEFT) else max((extent if bound is None else bound) - 1, 0)
+    records = []
+    while True:
+        found = next(((d, i) for d in DIRECTIONS if d in directions
+                      for i in range(limits[d]) if oracle_move(m, d, i)), None)
+        if found is None:
+            return m, tuple(records)
+        step = oracle_move(m, *found)
+        while step is not None:
+            m, rec = step
+            records.append(rec)
+            step = oracle_move(m, *found)
+
+
 def suite_moves(rng):
     """move defined iff potential > 0; opposite moves invert.
 
@@ -173,17 +193,17 @@ def suite_commutation(rng):
 
 
 def suite_roundtrip(rng):
-    """decompose / compose are mutually inverse; exhaustion order-free:
-    the reduced-word sweep behind decompose and normal_form reaches the
-    matrix of exhaust's adaptive order."""
+    """decompose / compose are mutually inverse; exhaust, the reduced-word
+    sweep behind decompose and normal_form, gives the matrix and records
+    of literal per-move exhaustion."""
     for _ in range(60):
         m = _random_matrix(rng, rng.random() < 0.5)
         p, q = decompose(m)
         if compose(p, q) != m:
             return False
-        if p.rows != exhaust(m, (UP,))[0].rows or q.rows != exhaust(m, (LEFT,))[0].rows:
-            return False
-        if _sweep(m, (UP, LEFT))[0].rows != exhaust(m, (UP, LEFT))[0].rows:
+        out, records = exhaust(m, (UP, LEFT))
+        want, want_records = oracle_exhaust(m, (UP, LEFT))
+        if out.rows != want.rows or records != want_records:
             return False
         if normal_form(p) != normal_form(m):
             return False

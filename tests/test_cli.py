@@ -122,6 +122,12 @@ def test_pictures_cli(tmp_path, capsys):
     bad.write_text("0,0 -> 0,0\n0,1 -> 0,1\n1,0 -> 1,0\n")
     assert run(["pictures", "validate", "--dom", "2,1/0", "--cod", "2,1/0", "--map", str(bad)]) == 1
     capsys.readouterr()
+    one = tmp_path / "one.txt"
+    one.write_text("1\n")
+    # dom has two complete rows below the matrix's single row
+    assert run(["pictures", "lift", str(one), "--mode", "integral",
+                "--dom", "2,1,1/1,1,1", "--cod", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "0,1 -> 0,0"
 
 
 def test_exit_codes(tmp_path, capsys):

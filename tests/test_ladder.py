@@ -12,31 +12,11 @@ from doublecrystal import crystal_integral as ci
 from doublecrystal.crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP
 from doublecrystal.decomposition import UsageError, exhaust
 from doublecrystal.matrices import BinaryMatrix, IntegralMatrix
-from doublecrystal.verify import oracle_move
+from doublecrystal.verify import oracle_exhaust, oracle_move
 
 from conftest import matrices
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
-
-
-def oracle_exhaust(m, directions, bound=None):
-    """Per-move exhaustion: the lowest index of the first direction that
-    admits a move is climbed completely, then the scan restarts at 0."""
-    limits = {}
-    for d in directions:
-        extent = m.height if d in (UP, DOWN) else m.width
-        limits[d] = extent if d in (UP, LEFT) else max((extent if bound is None else bound) - 1, 0)
-    records = []
-    while True:
-        found = next(((d, i) for d in DIRECTIONS if d in directions
-                      for i in range(limits[d]) if oracle_move(m, d, i)), None)
-        if found is None:
-            return m, tuple(records)
-        step = oracle_move(m, *found)
-        while step is not None:
-            m, rec = step
-            records.append(rec)
-            step = oracle_move(m, *found)
 
 
 @SETTINGS

@@ -91,6 +91,13 @@ def test_running_example_lift():
     assert p.inverse().mapping == tuple(sorted((t, s) for s, t in p.mapping))
 
 
+def test_lift_past_the_matrix_rows():
+    # dom has two complete rows below the matrix's single row
+    dom = SkewShape((2, 1, 1), (1, 1, 1))
+    p = lift(IntegralMatrix([[1]]), dom, SkewShape((1,)), INT)
+    assert p.mapping == (((0, 1), (0, 0)),)
+
+
 def test_lift_errors():
     one = SkewShape((1,))
     with pytest.raises(LiftError):

@@ -48,6 +48,12 @@ def test_dual_trivial():
     assert dual(dual(one)) == one
     empty = Tableau(SST, ((),))
     assert dual(empty).chain == ((),)
+    for flavor, opposite in ((SST, REVERSE), (REVERSE, SST),
+                             (TRANSPOSE, REVERSE_TRANSPOSE), (REVERSE_TRANSPOSE, TRANSPOSE)):
+        for chain in (((),), ((), (), ())):
+            empty = Tableau(flavor, chain)
+            assert dual(empty) == Tableau(opposite, ((),))
+            assert dual(dual(empty)) == empty
     with pytest.raises(ValueError):
         dual(Tableau(SST, ((1,), (2, 1))))
 

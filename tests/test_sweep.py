@@ -1,14 +1,18 @@
-"""The record-free reduced-word sweep behind decompose, compose and
-normal_form against the canonical adaptive `exhaust` and the literal
-one-move oracle, and decompose against the insertion encodings."""
+"""The reduced-word sweep behind exhaust, decompose, compose and
+normal_form against the literal one-move oracle, its scan count, and
+decompose against the insertion encodings."""
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doublecrystal.crystal_binary import LEFT, UP
-from doublecrystal.decomposition import _sweep, compose, decompose, exhaust
+from doublecrystal import crystal_binary as cb
+from doublecrystal import crystal_integral as ci
+from doublecrystal.crystal_binary import DIRECTIONS, LEFT, UP
+from doublecrystal.decomposition import _index_limit, _sweep, compose, decompose, exhaust
 from doublecrystal.insertion import burge, dual_rsk_col
-from doublecrystal.matrices import BINARY, INTEGRAL, encode
+from doublecrystal.matrices import BINARY, INTEGRAL, BinaryMatrix, IntegralMatrix, encode
 from doublecrystal.shapes import trim
 from doublecrystal.verify import oracle_move
 
@@ -28,7 +32,8 @@ def test_sweep_reaches_the_raising_exhaustion(m, directions):
 def test_sweep_ladders_replay_as_full_oracle_ladders(m, d):
     out, ladders = _sweep(m, (d,))
     x = m
-    for index, k in ladders:
+    for _, index, runs in ladders:
+        k = sum(n for _, n in runs)
         assert k > 0
         for _ in range(k):
             step = oracle_move(x, d, index)
@@ -37,6 +42,35 @@ def test_sweep_ladders_replay_as_full_oracle_ladders(m, d):
         # each ladder is climbed to its top
         assert oracle_move(x, d, index) is None, (m, d, index)
     assert x == out
+
+
+def test_exhaust_scans_each_pass_to_its_first_idle_ladder(monkeypatch):
+    """Each pass of the sweep stops at the first ladder that does not move,
+    so exhaust scans at most (ladders climbed + index limit) ladders."""
+    scans = {"all": 0, "moved": 0}
+
+    def counting(ladder_runs):
+        def scan(*args):
+            runs = ladder_runs(*args)
+            scans["all"] += 1
+            scans["moved"] += bool(runs)
+            return runs
+        return scan
+
+    for ops in (cb, ci):
+        monkeypatch.setattr(ops, "ladder_runs", counting(ops.ladder_runs))
+    rng = random.Random(9)
+    for t in range(400):
+        h, w = rng.randint(0, 9), rng.randint(0, 9)
+        if t % 2:
+            m = BinaryMatrix([[rng.randint(0, 1) for _ in range(w)] for _ in range(h)])
+        else:
+            m = IntegralMatrix([[rng.randint(0, 3) for _ in range(w)] for _ in range(h)])
+        for d in DIRECTIONS:
+            for bound in (None, rng.randint(1, 11)):
+                scans.update(all=0, moved=0)
+                exhaust(m, (d,), bound)
+                assert scans["all"] <= scans["moved"] + _index_limit(m, d, bound), (m, d, bound)
 
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
