@@ -188,19 +188,24 @@ def _margin_count(mode, rs, cs):
     return total
 
 
+def tableau_side(shape1: SkewShape, shape2: SkewShape, mode: str):
+    """The matrices that satisfy the tableau condition for shape1 and have
+    the line sums the LR condition for shape2 asks for: the encodings of
+    the semistandard tableaux of shape1 whose strips are the rows of
+    shape2; none for shapes of different weights."""
+    nu, mu = shape2.outer, shape2.inner
+    weights = tuple(part(nu, i) - part(mu, i) for i in range(len(nu)))
+    if shape1.weight != shape2.weight or any(x < 0 for x in weights):
+        return
+    for chain in _chains(shape1.inner, shape1.outer, weights):
+        yield encode(Tableau(SST, chain), mode)
+
+
 def lr_count(shape1: SkewShape, shape2: SkewShape, mode: str) -> int:
     """Number of matrices satisfying both the tableau condition for shape1
     and the LR condition for shape2."""
-    lam, kap = shape1.outer, shape1.inner
-    nu, mu = shape2.outer, shape2.inner
-    if shape1.weight != shape2.weight:
-        return 0
-    weights = tuple(part(nu, i) - part(mu, i) for i in range(len(nu)))
-    if any(x < 0 for x in weights):
-        return 0
     count = 0
-    for chain in _chains(kap, lam, weights):
-        m = encode(Tableau(SST, chain), mode)
+    for m in tableau_side(shape1, shape2, mode):
         if condition(m, shape2, LR, mode):
             count += 1
     return count

@@ -39,7 +39,6 @@ from .shapes import (
     Tableau,
     format_partition,
     parse_partition,
-    part,
 )
 
 
@@ -231,12 +230,7 @@ def _print_cancellation_trace(s1, s2, mode, box):
     """List the LR-condition cancellation pairs among tableau-side matrices."""
     from . import cancellation
 
-    nu, mu = s2.outer, s2.inner
-    weights = tuple(part(nu, i) - part(mu, i) for i in range(len(nu)))
-    if s1.weight != s2.weight or any(x < 0 for x in weights):
-        return
-    for chain in cancellation._chains(s1.inner, s1.outer, weights):
-        m = encode(Tableau(SST, chain), mode)
+    for m in cancellation.tableau_side(s1, s2, mode):
         if condition(m, s2, LR, mode):
             continue
         partner = cancellation.involution(m, s2, LR)
@@ -274,13 +268,11 @@ def cmd_pictures(args):
         print("valid" if ok else "invalid")
         if not ok:
             sys.exit(1)
-    elif args.action == "lift":
+    else:
         m = _read_matrix(args)
         proj = pictures.INT if not m.binary else pictures.BIN
         p = pictures.lift(m, dom, cod, proj)
         print(p.to_text())
-    else:
-        raise UsageError(f"unknown pictures action {args.action!r}")
 
 
 def cmd_verify(args):
@@ -377,12 +369,17 @@ def build_parser():
                    help="print LR cancellation pairs to stderr")
 
     p = add("pictures", cmd_pictures, help="validate, lift, or enumerate pictures")
-    p.add_argument("action", choices=("validate", "lift", "enumerate"))
-    p.add_argument("--dom", required=True)
-    p.add_argument("--cod", required=True)
-    p.add_argument("--map", help="picture file for validate (default stdin)")
-    p.add_argument("matrix", nargs="?", help="matrix file for lift")
-    p.add_argument("--mode", choices=(BINARY, INTEGRAL))
+    # one parser per action, so that lift's matrix file may follow the options
+    actions = p.add_subparsers(dest="action", required=True)
+    shapes = argparse.ArgumentParser(add_help=False)
+    shapes.add_argument("--dom", required=True)
+    shapes.add_argument("--cod", required=True)
+    a = actions.add_parser("validate", parents=[shapes], help="check a picture file")
+    a.add_argument("--map", help="picture file (default stdin)")
+    a = actions.add_parser("lift", parents=[shapes], help="the picture a matrix projects from")
+    a.add_argument("matrix", nargs="?", help="matrix file (default stdin)")
+    a.add_argument("--mode", choices=(BINARY, INTEGRAL))
+    actions.add_parser("enumerate", parents=[shapes], help="every picture from dom to cod")
 
     p = add("verify", cmd_verify, help="run named property suites")
     p.add_argument("suites", nargs="*", help="suite names (default: all)")

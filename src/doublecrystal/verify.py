@@ -1,9 +1,15 @@
-"""Named property suites behind `doublecrystal verify`.
+"""Named property suites behind `doublecrystal verify`, and the checks
+they share with the test suite.
 
-Each suite runs a randomized or small-exhaustive version of a library
-invariant and returns True on success.  The random generator is seeded
-from DC_SEED by the CLI for reproducibility.
+Each `check_*` asserts one property of the double crystal on one case and
+raises AssertionError naming the check and its case when the property, or
+the code under it, fails.  A suite draws random or small cases from the
+generator the CLI seeds from DC_SEED and runs its checks on each; the
+tests run the same checks on their own, larger case sets.
 """
+
+import functools
+import sys
 
 from .cancellation import (
     STAGES,
@@ -37,10 +43,12 @@ from .matrices import (
     IntegralMatrix,
     condition,
     encode,
+    mode_of,
 )
 from .pictures import BIN, INT, enumerate_pictures, lift, project
 from .schutzenberger import dual, rotate_complement
 from .shapes import (
+    REVERSE,
     SST,
     SkewShape,
     Tableau,
@@ -51,26 +59,36 @@ from .shapes import (
 )
 
 
-def _random_matrix(rng, binary, max_h=4, max_w=4, max_e=3):
-    h = rng.randint(1, max_h)
-    w = rng.randint(1, max_w)
-    cap = 1 if binary else max_e
+def random_matrix(rng, binary, h, w, top=3):
+    """An h x w matrix of uniform entries, row by row: bits, or 0..top."""
     cls = BinaryMatrix if binary else IntegralMatrix
-    return cls([[rng.randint(0, cap) for _ in range(w)] for _ in range(h)])
+    return cls([[rng.randint(0, 1 if binary else top) for _ in range(w)] for _ in range(h)])
 
 
-def _random_sst(rng, max_strips=5, max_row=4):
-    chain = [()]
+def _small_matrix(rng, binary, max_h=4, max_w=4, top=3):
+    """A random_matrix of random height 1..max_h and width 1..max_w."""
+    return random_matrix(rng, binary, rng.randint(1, max_h), rng.randint(1, max_w), top)
+
+
+def random_sst(rng, inner=(), max_strips=5, step=3):
+    """A semistandard tableau on 1..max_strips horizontal strips above
+    inner; each part grows by at most step per strip."""
+    chain = [inner]
     for _ in range(rng.randint(1, max_strips)):
         cur = chain[-1]
         nxt = []
         for i in range(len(cur) + 1):
             lo = cur[i] if i < len(cur) else 0
-            hi = min(nxt[i - 1] if i else lo + max_row, lo + max_row,
-                     cur[i - 1] if i else lo + max_row)
+            hi = min(nxt[i - 1] if i else lo + step, lo + step,
+                     cur[i - 1] if i else lo + step)
             nxt.append(rng.randint(lo, max(lo, hi)))
         chain.append(trim(nxt))
     return Tableau(SST, tuple(chain))
+
+
+def skew_shapes(max_size):
+    """Every skew shape whose outer partition has at most max_size cells."""
+    return [SkewShape(o, i) for o in partitions_up_to(max_size) for i in subpartitions(o)]
 
 
 def oracle_move(m, d, index):
@@ -127,198 +145,282 @@ def oracle_exhaust(m, directions, bound=None):
             step = oracle_move(m, *found)
 
 
-def suite_moves(rng):
-    """move defined iff potential > 0; opposite moves invert.
+def _require(ok, what):
+    if not ok:
+        raise AssertionError(what)
 
-    Both read the kernel's one bracket scan, so a second legal position is
-    not looked for here: suite_potentials counts moves with oracle_move,
-    which raises when more than one position is legal."""
+
+def _names_case(check):
+    """Re-raise any failure of check as an AssertionError that names the
+    check and its case."""
+    @functools.wraps(check)
+    def named(*case):
+        try:
+            check(*case)
+        except Exception as exc:
+            args = ", ".join(map(repr, case))
+            raise AssertionError(
+                f"{check.__name__}({args}): {type(exc).__name__}: {exc}") from exc
+    return named
+
+
+@_names_case
+def check_move_iff_potential(m, d, index):
+    """A move exists iff the potential is positive."""
+    _require((apply_move(m, d, index) is not None) == (potential(m, d, index) > 0),
+             "a move exists iff the potential is positive")
+
+
+@_names_case
+def check_opposite_inverts(m, d, index):
+    """The opposite move undoes a move."""
+    res = apply_move(m, d, index)
+    if res is not None:
+        back = apply_move(res[0], OPPOSITE[d], index)
+        _require(back is not None and back[0] == m, "the opposite move undoes the move")
+
+
+@_names_case
+def check_potential_counts_moves(m, d, index):
+    """The potential counts the successive moves of `oracle_move`, which
+    raises when more than one position is legal."""
+    n, x = 0, m
+    while (step := oracle_move(x, d, index)) is not None:
+        x = step[0]
+        n += 1
+    _require(n == potential(m, d, index), "the potential counts the oracle moves")
+
+
+@_names_case
+def check_margin_identities(m, index):
+    """Lowering minus raising potential is the margin difference at index,
+    for row pairs and column pairs."""
+    rs, cs = m.row_sums(), m.col_sums()
+    _require(potential(m, DOWN, index) - potential(m, UP, index)
+             == part(rs, index) - part(rs, index + 1), "down - up = row sum difference")
+    _require(potential(m, RIGHT, index) - potential(m, LEFT, index)
+             == part(cs, index) - part(cs, index + 1), "right - left = column sum difference")
+
+
+@_names_case
+def check_commute(m, dv, i, dh, j):
+    """A vertical move at i and a horizontal move at j, both defined,
+    commute."""
+    a = apply_move(m, dv, i)
+    b = apply_move(m, dh, j)
+    if a is None or b is None:
+        return
+    ab = apply_move(a[0], dh, j)
+    ba = apply_move(b[0], dv, i)
+    _require(ab is not None and ba is not None and ab[0] == ba[0], "the moves commute")
+
+
+@_names_case
+def check_perpendicular_potentials(m, d, i, j):
+    """A move in direction d at i leaves the potentials of the
+    perpendicular directions at j unchanged."""
+    res = apply_move(m, d, i)
+    if res is not None:
+        across = (LEFT, RIGHT) if d in (UP, DOWN) else (UP, DOWN)
+        _require(all(potential(res[0], e, j) == potential(m, e, j) for e in across),
+                 "perpendicular potentials are fixed")
+
+
+@_names_case
+def check_roundtrip(m):
+    """compose(decompose(m)) = m, and P has the normal form of m."""
+    p, q = decompose(m)
+    _require(compose(p, q) == m, "compose inverts decompose")
+    _require(normal_form(p) == normal_form(m), "P has the normal form of m")
+
+
+@_names_case
+def check_exhaust(m, directions, bound=None):
+    """`exhaust`, the reduced-word sweep, gives the matrix and records of
+    literal per-move exhaustion."""
+    out, records = exhaust(m, directions, bound)
+    want, want_records = oracle_exhaust(m, directions, bound)
+    _require(out.rows == want.rows, "exhaust reaches the oracle's matrix")
+    _require(records == want_records, "exhaust makes the oracle's moves")
+
+
+@_names_case
+def check_insertion_encodings(m):
+    """P and Q are the encodings of the Burge tableaux (integral), or Q
+    encodes the insertion tableau of column dual RSK and the column
+    suffix sums of P its recording chain (binary)."""
+    p, q = decompose(m)
+    if not m.binary:
+        s, lbar = burge(m)
+        _require(encode(s, INTEGRAL) == p, "P encodes the Burge insertion tableau")
+        _require(encode(lbar, INTEGRAL).transpose() == q, "Q encodes the Burge recording tableau")
+        return
+    s, r = dual_rsk_col(m)
+    _require(encode(s, BINARY) == q, "Q encodes the dual RSK insertion tableau")
+    n = max(p.width, len(r.chain) - 1)
+    pp = p.pad_to(1, n)
+    chain = tuple(trim(sum(row[j:]) for row in pp.rows) for j in range(n + 1))
+    _require(chain == r.padded_chain(n + 1), "column suffix sums of P give the recording chain")
+
+
+@_names_case
+def check_rectify(t):
+    """Exhausting up (integral) or left (binary) moves on the encoding of t
+    gives the encoding of its rectification."""
+    s = rectify(t)
+    _require(encode(s, INTEGRAL) == exhaust(encode(t, INTEGRAL), (UP,))[0],
+             "up-exhaustion rectifies the integral encoding")
+    _require(encode(s, BINARY) == exhaust(encode(t, BINARY), (LEFT,))[0],
+             "left-exhaustion rectifies the binary encoding")
+
+
+@_names_case
+def check_growth(m):
+    """In all four orientations the local rules give the implicit shape of
+    every corner submatrix (`growth_diagram` with verify=True)."""
+    for o in ORIENTATIONS:
+        growth_diagram(m, o, verify=True)
+
+
+@_names_case
+def check_stage_agreement(s1, s2, box):
+    """Both LR counts and the four stages of both modes agree."""
+    values = {lr_count(s1, s2, BINARY), lr_count(s1, s2, INTEGRAL)}
+    for mode in (BINARY, INTEGRAL):
+        for stage in STAGES:
+            values.add(alternating_sum(s1, s2, stage, mode, box))
+    _require(len(values) == 1, f"LR counts and stage values agree, got {sorted(values)}")
+
+
+@_names_case
+def check_involution_pairing(m, partner, shape, which, other):
+    """partner = involution(m, shape, which) pairs back to m, keeps the LR
+    witness, and meets the perpendicular condition for other as m does."""
+    _require(involution(partner, shape, which) == m, "the involution pairs back")
+    if which == LR:
+        _require(lr_witness(partner, shape) == lr_witness(m, shape), "the witness is kept")
+    perp = TABLEAU if which == LR else LR
+    mode = mode_of(m)
+    _require(condition(m, other, perp, mode) == condition(partner, other, perp, mode),
+             "the perpendicular condition is kept")
+
+
+@_names_case
+def check_dual(t):
+    """The Schutzenberger dual of a straight tableau t is a reverse
+    tableau of t's weight whose dual is t, and rectifying its rotated
+    complement gives t back."""
+    d = dual(t)
+    _require(d.flavor == REVERSE, "the dual is a reverse tableau")
+    _require(dual(d) == t, "dual is an involution")
+    _require(trim(d.weight()) == trim(t.weight()), "dual keeps the weight")
+    k = max(len(t.outer), 1)
+    l = max((t.outer[0] if t.outer else 0), 1)
+    _require(rectify(rotate_complement(d, (k, l))) == t, "the rectification route gives t")
+
+
+@_names_case
+def check_pictures(s1, s2):
+    """There are lr_count pictures from s1 to s2, and each is the lift of
+    its Int and its Bin projection."""
+    pics = enumerate_pictures(s1, s2)
+    _require(len(pics) == lr_count(s1, s2, INTEGRAL), "picture count = LR count")
+    for p in pics:
+        _require(lift(project(p, INT), s1, s2, INT) == p, "Int projection lifts back")
+        _require(lift(project(p, BIN), s1, s2, BIN) == p, "Bin projection lifts back")
+
+
+def suite_moves(rng):
+    """move defined iff potential > 0; opposite moves invert."""
     for _ in range(150):
-        m = _random_matrix(rng, rng.random() < 0.5)
+        m = _small_matrix(rng, rng.random() < 0.5)
         for d in DIRECTIONS:
             for idx in range(3):
-                pot = potential(m, d, idx)
-                res = apply_move(m, d, idx)
-                if (res is not None) != (pot > 0):
-                    return False
-                if res is not None:
-                    back = apply_move(res[0], OPPOSITE[d], idx)
-                    if back is None or back[0] != m:
-                        return False
-    return True
+                check_move_iff_potential(m, d, idx)
+                check_opposite_inverts(m, d, idx)
 
 
 def suite_potentials(rng):
     """potential equals the count of successive oracle moves; margin
     identities."""
     for _ in range(100):
-        m = _random_matrix(rng, rng.random() < 0.5)
-        rs, cs = m.row_sums(), m.col_sums()
+        m = _small_matrix(rng, rng.random() < 0.5)
         for idx in range(3):
             for d in DIRECTIONS:
-                n = 0
-                x = m
-                while (step := oracle_move(x, d, idx)) is not None:
-                    x = step[0]
-                    n += 1
-                if n != potential(m, d, idx):
-                    return False
-            if potential(m, DOWN, idx) - potential(m, UP, idx) != part(rs, idx) - part(rs, idx + 1):
-                return False
-            if potential(m, RIGHT, idx) - potential(m, LEFT, idx) != part(cs, idx) - part(cs, idx + 1):
-                return False
-    return True
+                check_potential_counts_moves(m, d, idx)
+            check_margin_identities(m, idx)
 
 
 def suite_commutation(rng):
     """Perpendicular moves commute and leave perpendicular potentials fixed."""
     for _ in range(150):
-        m = _random_matrix(rng, rng.random() < 0.5)
+        m = _small_matrix(rng, rng.random() < 0.5)
         for i in range(2):
             for j in range(2):
                 for dv, dh in ((UP, LEFT), (UP, RIGHT), (DOWN, LEFT), (DOWN, RIGHT)):
-                    a = apply_move(m, dv, i)
-                    b = apply_move(m, dh, j)
-                    if a is None or b is None:
-                        continue
-                    ab = apply_move(a[0], dh, j)
-                    ba = apply_move(b[0], dv, i)
-                    if ab is None or ba is None or ab[0] != ba[0]:
-                        return False
-                if apply_move(m, UP, i) is not None:
-                    mu = apply_move(m, UP, i)[0]
-                    if any(potential(mu, d, j) != potential(m, d, j) for d in (LEFT, RIGHT)):
-                        return False
-    return True
+                    check_commute(m, dv, i, dh, j)
+                check_perpendicular_potentials(m, UP, i, j)
 
 
 def suite_roundtrip(rng):
-    """decompose / compose are mutually inverse; exhaust, the reduced-word
-    sweep behind decompose and normal_form, gives the matrix and records
-    of literal per-move exhaustion."""
+    """decompose / compose are mutually inverse; exhaust matches literal
+    per-move exhaustion."""
     for _ in range(60):
-        m = _random_matrix(rng, rng.random() < 0.5)
-        p, q = decompose(m)
-        if compose(p, q) != m:
-            return False
-        out, records = exhaust(m, (UP, LEFT))
-        want, want_records = oracle_exhaust(m, (UP, LEFT))
-        if out.rows != want.rows or records != want_records:
-            return False
-        if normal_form(p) != normal_form(m):
-            return False
-    return True
+        m = _small_matrix(rng, rng.random() < 0.5)
+        check_roundtrip(m)
+        check_exhaust(m, (UP, LEFT))
 
 
 def suite_oracles(rng):
     """Insertion oracles agree with the crystal decomposition."""
     for _ in range(40):
-        m = _random_matrix(rng, False, 3, 3, 2)
-        p, q = decompose(m)
-        s, lbar = burge(m)
-        if encode(s, INTEGRAL) != p or encode(lbar, INTEGRAL).transpose() != q:
-            return False
+        check_insertion_encodings(_small_matrix(rng, False, 3, 3, 2))
     for _ in range(40):
-        m = _random_matrix(rng, True, 3, 4)
-        p, q = decompose(m)
-        s, r = dual_rsk_col(m)
-        if encode(s, BINARY) != q:
-            return False
-        # column suffix sums of P reproduce the recording chain
-        n = max(p.width, len(r.chain) - 1)
-        pp = p.pad_to(1, n)
-        chain = tuple(trim(sum(row[j:]) for row in pp.rows) for j in range(n + 1))
-        if chain != r.padded_chain(n + 1):
-            return False
+        check_insertion_encodings(_small_matrix(rng, True, 3, 4))
     for _ in range(20):
-        t = _random_sst(rng)
-        m = encode(t, INTEGRAL)
-        pe, _ = exhaust(m, (UP,))
-        if encode(rectify(t), INTEGRAL) != pe:
-            return False
-    return True
+        check_rectify(random_sst(rng, (), 5, 4))
 
 
 def suite_growth(rng):
     """Local rules match direct normalization in all four orientations."""
     for _ in range(12):
-        m = _random_matrix(rng, rng.random() < 0.5, 4, 4, 3)
-        for o in ORIENTATIONS:
-            growth_diagram(m, o, verify=True)
-    return True
+        check_growth(_small_matrix(rng, rng.random() < 0.5))
 
 
 def suite_sums(rng):
     """Stage agreement with lr_count on random small shape pairs."""
-    shapes = [SkewShape(o, i) for o in partitions_up_to(4) for i in subpartitions(o)]
+    shapes = skew_shapes(4)
     for _ in range(15):
-        s1 = rng.choice(shapes)
-        s2 = rng.choice(shapes)
-        counts = {lr_count(s1, s2, BINARY), lr_count(s1, s2, INTEGRAL)}
-        for mode in (BINARY, INTEGRAL):
-            for stage in STAGES:
-                counts.add(alternating_sum(s1, s2, stage, mode, (5, 5)))
-        if len(counts) != 1:
-            return False
-    return True
+        check_stage_agreement(rng.choice(shapes), rng.choice(shapes), (5, 5))
 
 
 def suite_involution(rng):
     """Cancellation pairing properties on random failing matrices."""
-    shapes = [SkewShape(o, i) for o in partitions_up_to(4) for i in subpartitions(o)]
+    shapes = skew_shapes(4)
     checked = 0
     while checked < 60:
-        binary = rng.random() < 0.5
-        m = _random_matrix(rng, binary, 3, 3, 2)
+        m = _small_matrix(rng, rng.random() < 0.5, 3, 3, 2)
         sh = rng.choice(shapes)
-        mode = BINARY if binary else INTEGRAL
         for which in (LR, TABLEAU):
             try:
-                mp = involution(m, sh, which)
+                partner = involution(m, sh, which)
             except NotCancellable:
                 continue
-            if involution(mp, sh, which) != m:
-                return False
-            if which == LR and lr_witness(mp, sh) != lr_witness(m, sh):
-                return False
-            sh2 = rng.choice(shapes)
-            perp = TABLEAU if which == LR else LR
-            if condition(m, sh2, perp, mode) != condition(mp, sh2, perp, mode):
-                return False
+            check_involution_pairing(m, partner, sh, which, rng.choice(shapes))
             checked += 1
-    return True
 
 
 def suite_schutzenberger(rng):
     """dual is a weight-preserving involution; rectification route agrees."""
     for _ in range(40):
-        t = _random_sst(rng)
-        d = dual(t)
-        if dual(d) != t:
-            return False
-        if trim(d.weight()) != trim(t.weight()):
-            return False
-        k = max(len(t.outer), 1)
-        l = max((t.outer[0] if t.outer else 0), 1)
-        if rectify(rotate_complement(d, (k, l))) != t:
-            return False
-    return True
+        check_dual(random_sst(rng, (), 5, 4))
 
 
 def suite_pictures(rng):
     """Picture counts match LR counts; project/lift round-trip."""
-    shapes = [SkewShape(o, i) for o in partitions_up_to(3) for i in subpartitions(o)]
+    shapes = skew_shapes(3)
     for _ in range(15):
-        s1, s2 = rng.choice(shapes), rng.choice(shapes)
-        pics = enumerate_pictures(s1, s2)
-        if len(pics) != lr_count(s1, s2, INTEGRAL):
-            return False
-        for p in pics:
-            if lift(project(p, INT), s1, s2, INT) != p:
-                return False
-            if lift(project(p, BIN), s1, s2, BIN) != p:
-                return False
-    return True
+        check_pictures(rng.choice(shapes), rng.choice(shapes))
 
 
 SUITES = {
@@ -337,7 +439,9 @@ SUITES = {
 
 def run_suites(names, rng, verbose=False) -> bool:
     """Run the named suites ("all" for every one); an unknown name is a
-    UsageError, raised before any suite runs."""
+    UsageError, raised before any suite runs.  A suite fails on the first
+    error it raises; verbose prints one PASS or FAIL line per suite, and
+    the error of a failing one, naming its case, to stderr."""
     for name in names:
         if name != "all" and name not in SUITES:
             raise UsageError(f"unknown suite {name!r}")
@@ -345,7 +449,13 @@ def run_suites(names, rng, verbose=False) -> bool:
         names = list(SUITES)
     ok = True
     for name in names:
-        passed = SUITES[name](rng)
+        try:
+            SUITES[name](rng)
+            passed = True
+        except Exception as exc:
+            passed = False
+            if verbose:
+                print(f"{name}: {exc}", file=sys.stderr)
         ok = ok and passed
         if verbose:
             print(f"{name}: {'PASS' if passed else 'FAIL'}")

@@ -1,7 +1,10 @@
 """Shared golden data: the running tableau, its encodings, and the
 matrices of the worked decomposition examples; and `outcome`, which the
 oracle comparisons use; `matrices`, the hypothesis strategy of small
-binary and integral matrices."""
+binary and integral matrices; `all_binary` and `all_integral`, every
+matrix of a box."""
+
+import itertools
 
 import pytest
 from hypothesis import strategies as st
@@ -117,6 +120,18 @@ M2X9 = IntegralMatrix([
     [1, 2, 1, 3, 3, 1, 2, 4, 0],
     [2, 1, 1, 4, 2, 0, 5, 2, 0],
 ])
+
+
+def all_binary(h, w):
+    """Every h x w binary matrix."""
+    for bits in itertools.product((0, 1), repeat=h * w):
+        yield BinaryMatrix([bits[i * w:(i + 1) * w] for i in range(h)])
+
+
+def all_integral(h, w, cap):
+    """Every h x w integral matrix with entries 0..cap."""
+    for vals in itertools.product(range(cap + 1), repeat=h * w):
+        yield IntegralMatrix([vals[i * w:(i + 1) * w] for i in range(h)])
 
 
 @pytest.fixture

@@ -1,23 +1,14 @@
 """Acceptance criteria: exact golden values plus exhaustive property
 suites, one test (and one printed pass line) per criterion."""
 
-import itertools
 import random
 import time
 
 from doublecrystal import crystal_binary as cb
 from doublecrystal import crystal_integral as ci
-from doublecrystal.cancellation import (
-    STAGES,
-    _chains,
-    alternating_sum,
-    edge_symbol,
-    involution,
-    lr_count,
-    lr_witness,
-)
+from doublecrystal.cancellation import edge_symbol, involution, tableau_side
 from doublecrystal.crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP
-from doublecrystal.decomposition import compose, decompose, exhaust, normal_form
+from doublecrystal.decomposition import decompose, exhaust, normal_form
 from doublecrystal.growth import (
     COL_INSERTION,
     NE,
@@ -30,31 +21,20 @@ from doublecrystal.growth import (
     growth_diagram,
     rsk_forward,
 )
-from doublecrystal.insertion import burge, dual_rsk_col, dual_rsk_row, rectify
-from doublecrystal.matrices import (
-    BINARY,
-    INTEGRAL,
-    LR,
-    TABLEAU,
-    BinaryMatrix,
-    IntegralMatrix,
-    condition,
-    diagon,
-    diagram,
-    encode,
-)
-from doublecrystal.pictures import BIN, INT, enumerate_pictures, lift, project
-from doublecrystal.schutzenberger import dual, rotate_complement
-from doublecrystal.shapes import (
-    REVERSE_TRANSPOSE,
-    SST,
-    SkewShape,
-    Tableau,
-    add,
-    part,
-    partitions_up_to,
-    subpartitions,
-    trim,
+from doublecrystal.insertion import dual_rsk_col, dual_rsk_row
+from doublecrystal.matrices import BINARY, INTEGRAL, LR, condition, diagon, diagram
+from doublecrystal.schutzenberger import dual
+from doublecrystal.shapes import REVERSE_TRANSPOSE, SST, Tableau, add, part
+from doublecrystal.verify import (
+    check_dual,
+    check_insertion_encodings,
+    check_involution_pairing,
+    check_pictures,
+    check_roundtrip,
+    check_stage_agreement,
+    random_matrix,
+    random_sst,
+    skew_shapes,
 )
 
 from conftest import (
@@ -70,21 +50,13 @@ from conftest import (
     R_CHAIN,
     RSTAR_CHAIN,
     S_CHAIN,
+    all_binary,
+    all_integral,
 )
 
 
 def _report(num, detail):
     print(f"criterion {num:2d}: PASS - {detail}")
-
-
-def _all_binary_3x4():
-    for bits in itertools.product((0, 1), repeat=12):
-        yield BinaryMatrix([bits[0:4], bits[4:8], bits[8:12]])
-
-
-def _all_integral_3x3():
-    for vals in itertools.product((0, 1, 2), repeat=9):
-        yield IntegralMatrix([vals[0:3], vals[3:6], vals[6:9]])
 
 
 def test_c01_golden_binary_decomposition():
@@ -187,8 +159,8 @@ def test_c07_commutation_exhaustive():
     variants = ((UP, LEFT), (UP, RIGHT), (DOWN, LEFT), (DOWN, RIGHT))
     checked = 0
     for mod, matrices, imax, jmax in (
-        (cb, _all_binary_3x4(), 3, 4),
-        (ci, _all_integral_3x3(), 3, 3),
+        (cb, all_binary(3, 4), 3, 4),
+        (ci, all_integral(3, 3, 2), 3, 3),
     ):
         for m in matrices:
             for i in range(imax):
@@ -214,8 +186,8 @@ def test_c08_potentials_equal_move_counts():
     t0 = time.monotonic()
     checked = 0
     for mod, matrices, imax, jmax in (
-        (cb, _all_binary_3x4(), 4, 5),
-        (ci, _all_integral_3x3(), 4, 4),
+        (cb, all_binary(3, 4), 4, 5),
+        (ci, all_integral(3, 3, 2), 4, 4),
     ):
         for m in matrices:
             rs, cs = m.row_sums(), m.col_sums()
@@ -243,10 +215,9 @@ def test_c08_potentials_equal_move_counts():
 def test_c09_decompose_compose_roundtrip():
     t0 = time.monotonic()
     checked = 0
-    for matrices in (_all_binary_3x4(), _all_integral_3x3()):
+    for matrices in (all_binary(3, 4), all_integral(3, 3, 2)):
         for m in matrices:
-            p, q = decompose(m)
-            assert compose(p, q) == m, m.rows
+            check_roundtrip(m)
             checked += 1
     elapsed = time.monotonic() - t0
     _report(9, f"round trip on {checked} matrices, zero failures, {elapsed:.1f}s")
@@ -254,19 +225,10 @@ def test_c09_decompose_compose_roundtrip():
 
 def test_c10_oracle_equivalence():
     t0 = time.monotonic()
-    for m in _all_integral_3x3():
-        p, q = decompose(m)
-        s, lbar = burge(m)
-        assert encode(s, INTEGRAL) == p, m.rows
-        assert encode(lbar, INTEGRAL).transpose() == q, m.rows
-    for m in _all_binary_3x4():
-        p, q = decompose(m)
-        s, r = dual_rsk_col(m)
-        assert encode(s, BINARY) == q, m.rows
-        n = max(p.width, len(r.chain) - 1)
-        pp = p.pad_to(1, n)
-        chain = tuple(trim(sum(row[j:]) for row in pp.rows) for j in range(n + 1))
-        assert chain == r.padded_chain(n + 1), m.rows
+    for m in all_integral(3, 3, 2):
+        check_insertion_encodings(m)
+    for m in all_binary(3, 4):
+        check_insertion_encodings(m)
     # dual RSK row form: insertion tableau = Schutzenberger dual of R
     r_star, s = dual_rsk_row(M_BIN)
     assert r_star.chain == RSTAR_CHAIN and s.chain == S_CHAIN
@@ -274,8 +236,7 @@ def test_c10_oracle_equivalence():
     assert dual(r) == r_star
     rng = random.Random(17)
     for _ in range(50):
-        h, w = rng.randint(1, 4), rng.randint(1, 5)
-        m = BinaryMatrix([[rng.randint(0, 1) for _ in range(w)] for _ in range(h)])
+        m = random_matrix(rng, True, rng.randint(1, 4), rng.randint(1, 5))
         s_col, r = dual_rsk_col(m)
         r_star, s_row = dual_rsk_row(m)
         assert s_row == s_col
@@ -285,22 +246,13 @@ def test_c10_oracle_equivalence():
     _report(10, f"Burge and dual RSK match the decomposition exhaustively, {elapsed:.1f}s")
 
 
-def _skew_shapes_5():
-    return [SkewShape(o, i) for o in partitions_up_to(5) for i in subpartitions(o)]
-
-
 def test_c11_alternating_sums():
     t0 = time.monotonic()
-    shapes = _skew_shapes_5()
+    shapes = skew_shapes(5)
     pairs = 0
     for s1 in shapes:
         for s2 in shapes:
-            counts = {lr_count(s1, s2, BINARY), lr_count(s1, s2, INTEGRAL)}
-            assert len(counts) == 1, (str(s1), str(s2), counts)
-            for mode in (BINARY, INTEGRAL):
-                for stage in STAGES:
-                    counts.add(alternating_sum(s1, s2, stage, mode, (6, 6)))
-            assert len(counts) == 1, (str(s1), str(s2), counts)
+            check_stage_agreement(s1, s2, (6, 6))
             pairs += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
@@ -310,23 +262,17 @@ def test_c11_alternating_sums():
 def test_c12_involution_suite():
     t0 = time.monotonic()
     rng = random.Random(23)
-    shapes = _skew_shapes_5()
+    shapes = skew_shapes(5)
     failing_total = 0
     for s1 in shapes:
         for s2 in shapes:
             if s1.weight != s2.weight or s1.weight == 0:
                 continue
-            weights = tuple(part(s2.outer, i) - part(s2.inner, i) for i in range(len(s2.outer)))
-            if any(x < 0 for x in weights):
-                continue
             for mode in (BINARY, INTEGRAL):
-                for chain in _chains(s1.inner, s1.outer, weights):
-                    m = encode(Tableau(SST, chain), mode)
+                for m in tableau_side(s1, s2, mode):
                     if condition(m, s2, LR, mode):
                         continue
                     mp = involution(m, s2, LR)
-                    assert involution(mp, s2, LR) == m
-                    assert lr_witness(mp, s2) == lr_witness(m, s2)
                     assert not condition(mp, s2, LR, mode)
                     if mode == BINARY:
                         a = add(s2.inner, m.row_sums())
@@ -338,8 +284,7 @@ def test_c12_involution_suite():
                     if edge_symbol(a, s2.outer) != 0:
                         assert mp != m, (m.rows, str(s1), str(s2))
                     for _ in range(3):
-                        sh = rng.choice(shapes)
-                        assert condition(m, sh, TABLEAU, mode) == condition(mp, sh, TABLEAU, mode)
+                        check_involution_pairing(m, mp, s2, LR, rng.choice(shapes))
                     failing_total += 1
     elapsed = time.monotonic() - t0
     _report(12, f"involution checked on {failing_total} failing matrices, {elapsed:.1f}s")
@@ -354,24 +299,10 @@ def test_c13_schutzenberger():
     rng = random.Random(29)
     done = 0
     while done < 100:
-        chain = [()]
-        for _ in range(rng.randint(1, 5)):
-            cur = chain[-1]
-            nxt = []
-            for i in range(len(cur) + 1):
-                lo = cur[i] if i < len(cur) else 0
-                cap = nxt[i - 1] if i else lo + 3
-                above = cur[i - 1] if i else lo + 3
-                nxt.append(rng.randint(lo, max(lo, min(cap, above, lo + 3))))
-            chain.append(trim(nxt))
-        t = Tableau(SST, tuple(chain))
+        t = random_sst(rng)
         if not 0 < sum(t.outer) <= 10:
             continue
-        d = dual(t)
-        assert dual(d) == t
-        assert trim(d.weight()) == trim(t.weight())
-        k, l = len(t.outer), t.outer[0]
-        assert rectify(rotate_complement(d, (k, l))) == t
+        check_dual(t)
         done += 1
     elapsed = time.monotonic() - t0
     _report(13, f"duals exact; involution and rectification route on {done} tableaux, {elapsed:.1f}s")
@@ -379,17 +310,13 @@ def test_c13_schutzenberger():
 
 def test_c14_pictures():
     t0 = time.monotonic()
-    shapes = _skew_shapes_5()
+    shapes = skew_shapes(5)
     pairs = 0
     for s1 in shapes:
         for s2 in shapes:
             if s1.weight != s2.weight:
                 continue
-            pics = enumerate_pictures(s1, s2)
-            assert len(pics) == lr_count(s1, s2, INTEGRAL), (str(s1), str(s2))
-            for p in pics:
-                assert lift(project(p, INT), s1, s2, INT) == p
-                assert lift(project(p, BIN), s1, s2, BIN) == p
+            check_pictures(s1, s2)
             pairs += 1
     elapsed = time.monotonic() - t0
     _report(14, f"picture counts equal LR counts on {pairs} shape pairs, {elapsed:.1f}s")

@@ -1,7 +1,11 @@
 import json
+import re
 
 import pytest
 
+from doublecrystal import cancellation, growth, insertion, verify
+from doublecrystal import crystal_binary as cb
+from doublecrystal import crystal_integral as ci
 from doublecrystal.cli import run
 from doublecrystal.matrices import BINARY, INTEGRAL, parse_matrix
 
@@ -130,6 +134,17 @@ def test_pictures_cli(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0,1 -> 0,0"
 
 
+def test_pictures_lift_takes_the_matrix_before_or_after_the_options(tmp_path, capsys):
+    one = tmp_path / "one.txt"
+    one.write_text("1\n")
+    options = ["--mode", "integral", "--dom", "1", "--cod", "1"]
+    outputs = []
+    for argv in (["lift", str(one), *options], ["lift", *options, str(one)]):
+        assert run(["pictures", *argv]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == ("0,0 -> 0,0\n", "")
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 2\n")
@@ -146,6 +161,46 @@ def test_verify_cli(capsys, monkeypatch):
     assert run(["verify", "moves", "roundtrip"]) == 0
     out = capsys.readouterr().out
     assert "moves: PASS" in out and "roundtrip: PASS" in out
+
+
+# one fault per suite in the code it checks; each default argument keeps
+# the function the fault wraps
+FAULTS = [
+    ("moves", cb, "_take",  # a single move takes two units
+     lambda runs, k, take=cb._take: take(runs, k if k is None else min(k + 1, len(runs)))),
+    ("potentials", ci, "potential",
+     lambda m, d, index, pot=ci.potential: pot(m, d, index) + (d == "up")),
+    ("commutation", cb, "_steps",  # left moves take the last unmatched bracket first
+     lambda rows, d, index, steps=cb._steps: steps(rows, d, index)[::-1 if d == "left" else 1]),
+    ("roundtrip", ci, "_shift",  # down ladders move one unit short
+     lambda rows, d, index, runs, shift=ci._shift:
+         shift(rows, d, index, [(at, n - (d == "down")) for at, n in runs])),
+    ("oracles", insertion, "_column_insert_one",
+     lambda cols, x, ge=True, insert=insertion._column_insert_one: insert(cols, x, not ge)),
+    ("growth", growth, "_burge",  # entries of 2 and more count as 1
+     lambda lam, mu, nu, m, trace=None, rule=growth._burge: rule(lam, mu, nu, min(m, 1), trace)),
+    ("sums", verify, "lr_count",
+     lambda s1, s2, mode, count=verify.lr_count: count(s1, s2, mode) + 1),
+    ("involution", cancellation, "_ladder_apply",  # ladders of 2 and more one unit short
+     lambda m, d, up, down, index, apply=cancellation._ladder_apply:
+         apply(m, d - (d > 1) + (d < -1), up, down, index)),
+    ("schutzenberger", verify, "dual", lambda t: t),
+    ("pictures", verify, "lift",
+     lambda m, dom, cod, mode, lift=verify.lift: lift(m, dom, cod, mode).inverse()),
+]
+
+
+@pytest.mark.parametrize("name,module,attr,fault", FAULTS, ids=[f[0] for f in FAULTS])
+def test_each_suite_fails_on_a_fault_and_names_its_case(monkeypatch, capsys, name, module,
+                                                         attr, fault):
+    assert sorted(f[0] for f in FAULTS) == sorted(verify.SUITES)
+    monkeypatch.setenv("DC_SEED", "0")
+    monkeypatch.setattr(module, attr, fault)
+    assert run(["verify", name]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"{name}: FAIL\n"
+    assert re.match(rf"{name}: check_\w+\(((Binary|Integral)Matrix|SkewShape|Tableau)\(", err), err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name,key,orientation", [

@@ -1,14 +1,20 @@
-import itertools
 import random
 
 import pytest
 
 from doublecrystal import crystal_binary as cb
 from doublecrystal import crystal_integral as ci
-from doublecrystal.crystal_binary import DOWN, LEFT, OPPOSITE, RIGHT, UP
+from doublecrystal.crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP
 from doublecrystal.matrices import BinaryMatrix, IntegralMatrix
+from doublecrystal.verify import (
+    check_commute,
+    check_move_iff_potential,
+    check_opposite_inverts,
+    check_perpendicular_potentials,
+    random_matrix,
+)
 
-from conftest import M2X9, M3X13
+from conftest import M2X9, M3X13, all_binary, all_integral
 
 
 def climb(mod, m, d, index):
@@ -21,16 +27,6 @@ def climb(mod, m, d, index):
         m, rec = res
         out.append(rec.position if hasattr(rec, "position") else rec.at)
     return m, out
-
-
-def all_binary(h, w):
-    for bits in itertools.product((0, 1), repeat=h * w):
-        yield BinaryMatrix([bits[i * w:(i + 1) * w] for i in range(h)])
-
-
-def all_integral(h, w, cap):
-    for vals in itertools.product(range(cap + 1), repeat=h * w):
-        yield IntegralMatrix([vals[i * w:(i + 1) * w] for i in range(h)])
 
 
 class TestBinary:
@@ -59,7 +55,7 @@ class TestBinary:
         # embedded forbidden 2x2 patterns stay blocked in larger matrices
         rng = random.Random(5)
         for _ in range(200):
-            m = BinaryMatrix([[rng.randint(0, 1) for _ in range(4)] for _ in range(4)])
+            m = random_matrix(rng, True, 4, 4)
             for i in range(3):
                 for j in range(3):
                     sub = (m[i, j], m[i, j + 1], m[i + 1, j], m[i + 1, j + 1])
@@ -106,7 +102,7 @@ class TestBinary:
     def test_paren_profile_columns_match_potentials(self):
         rng = random.Random(1)
         for _ in range(100):
-            m = BinaryMatrix([[rng.randint(0, 1) for _ in range(4)] for _ in range(4)])
+            m = random_matrix(rng, True, 4, 4)
             for j in range(3):
                 _, op, cl = cb.paren_profile(m, "cols", j)
                 assert len(op) == cb.potential(m, LEFT, j)
@@ -114,9 +110,9 @@ class TestBinary:
 
     def test_exhaustive_move_iff_potential(self):
         for m in all_binary(3, 3):
-            for d in (UP, DOWN, LEFT, RIGHT):
+            for d in DIRECTIONS:
                 for idx in range(3):
-                    assert (cb.move(m, d, idx) is not None) == (cb.potential(m, d, idx) > 0)
+                    check_move_iff_potential(m, d, idx)
 
     def test_down_left_of_up(self):
         # when both vertical moves exist, the downward one is strictly left
@@ -142,7 +138,7 @@ class TestIntegral:
     def test_multi_unit_iff_repeated_units(self):
         rng = random.Random(2)
         for _ in range(150):
-            m = IntegralMatrix([[rng.randint(0, 3) for _ in range(3)] for _ in range(3)])
+            m = random_matrix(rng, False, 3, 3)
             for pair in range(2):
                 for at in range(3):
                     for a in (2, 3, -2, -3):
@@ -195,7 +191,7 @@ class TestIntegral:
         # min(M[i,j], M[i+1,j+1]) unchanged by transfers between rows i,i+1
         rng = random.Random(3)
         for _ in range(200):
-            m = IntegralMatrix([[rng.randint(0, 3) for _ in range(3)] for _ in range(2)])
+            m = random_matrix(rng, False, 2, 3)
             for d in (UP, DOWN):
                 res = ci.move(m, d, 0)
                 if res is None:
@@ -208,7 +204,7 @@ class TestIntegral:
         # successive ups move weakly left; downs weakly right
         rng = random.Random(4)
         for _ in range(100):
-            m = IntegralMatrix([[rng.randint(0, 4) for _ in range(4)] for _ in range(2)])
+            m = random_matrix(rng, False, 2, 4, 4)
             _, ups = climb(ci, m, UP, 0)
             assert all(a >= b for a, b in zip(ups, ups[1:]))
             _, downs = climb(ci, m, DOWN, 0)
@@ -219,40 +215,26 @@ def test_inverse_moves():
     rng = random.Random(6)
     for _ in range(200):
         binary = rng.random() < 0.5
-        if binary:
-            m = BinaryMatrix([[rng.randint(0, 1) for _ in range(4)] for _ in range(3)])
-            mod = cb
-        else:
-            m = IntegralMatrix([[rng.randint(0, 3) for _ in range(3)] for _ in range(3)])
-            mod = ci
-        for d in (UP, DOWN, LEFT, RIGHT):
+        m = random_matrix(rng, binary, 3, 4 if binary else 3)
+        for d in DIRECTIONS:
             for idx in range(3):
-                res = mod.move(m, d, idx)
-                if res is not None:
-                    back = mod.move(res[0], OPPOSITE[d], idx)
-                    assert back is not None and back[0] == m
+                check_opposite_inverts(m, d, idx)
 
 
 def test_perpendicular_invariance():
     for m in all_binary(3, 3):
-        up = cb.move(m, UP, 0)
-        if up:
-            for j in range(3):
-                assert cb.potential(up[0], LEFT, j) == cb.potential(m, LEFT, j)
-                assert cb.potential(up[0], RIGHT, j) == cb.potential(m, RIGHT, j)
+        for j in range(3):
+            check_perpendicular_potentials(m, UP, 0, j)
     for m in all_integral(2, 2, 2):
-        rt = ci.move(m, RIGHT, 0)
-        if rt:
-            for i in range(2):
-                assert ci.potential(rt[0], UP, i) == ci.potential(m, UP, i)
-                assert ci.potential(rt[0], DOWN, i) == ci.potential(m, DOWN, i)
+        for i in range(2):
+            check_perpendicular_potentials(m, RIGHT, 0, i)
 
 
 def test_power_commutation():
     # (left^m)(up^n) = (up^n)(left^m) whenever both powers are defined
     rng = random.Random(7)
     for _ in range(100):
-        m = IntegralMatrix([[rng.randint(0, 4) for _ in range(4)] for _ in range(4)])
+        m = random_matrix(rng, False, 4, 4, 4)
         i, j = rng.randint(0, 2), rng.randint(0, 2)
         nmax = ci.potential(m, UP, i)
         mmax = ci.potential(m, LEFT, j)
@@ -275,31 +257,25 @@ def test_power_commutation():
 
 def test_move_iff_potential_4x4_exhaustive_and_random_6x6():
     for m in all_binary(4, 4):
-        for d in (UP, DOWN, LEFT, RIGHT):
+        for d in DIRECTIONS:
             for idx in range(4):
-                assert (cb.move(m, d, idx) is not None) == (cb.potential(m, d, idx) > 0)
+                check_move_iff_potential(m, d, idx)
     rng = random.Random(8)
     for _ in range(200):
-        m = BinaryMatrix([[rng.randint(0, 1) for _ in range(6)] for _ in range(6)])
-        for d in (UP, DOWN, LEFT, RIGHT):
+        m = random_matrix(rng, True, 6, 6)
+        for d in DIRECTIONS:
             for idx in range(6):
-                assert (cb.move(m, d, idx) is not None) == (cb.potential(m, d, idx) > 0)
+                check_move_iff_potential(m, d, idx)
 
 
 def test_integral_commutation_random_4x4():
     rng = random.Random(9)
     for _ in range(400):
-        m = IntegralMatrix([[rng.randint(0, 4) for _ in range(4)] for _ in range(4)])
+        m = random_matrix(rng, False, 4, 4, 4)
         i, j = rng.randint(0, 3), rng.randint(0, 3)
         for dv in (UP, DOWN):
             for dh in (LEFT, RIGHT):
-                a = ci.move(m, dv, i)
-                b = ci.move(m, dh, j)
-                if a is None or b is None:
-                    continue
-                ab = ci.move(a[0], dh, j)
-                ba = ci.move(b[0], dv, i)
-                assert ab is not None and ba is not None and ab[0] == ba[0]
+                check_commute(m, dv, i, dh, j)
 
 
 def test_at_most_one_move_per_direction():
@@ -315,7 +291,7 @@ def test_at_most_one_move_per_direction():
         assert ups == ([res[1].position[1]] if res else [])
     rng = random.Random(11)
     for _ in range(300):
-        m = IntegralMatrix([[rng.randint(0, 3) for _ in range(4)] for _ in range(2)])
+        m = random_matrix(rng, False, 2, 4)
         for sense, d in ((1, UP), (-1, DOWN)):
             legal = [l for l in range(4) if ci.transfer_legal(m, "rows", 0, l, sense)]
             assert len(legal) <= 1, (m.rows, sense)

@@ -18,6 +18,7 @@ from doublecrystal.decomposition import (
     potential,
 )
 from doublecrystal.matrices import BinaryMatrix, IntegralMatrix, diagon, diagram
+from doublecrystal.verify import random_matrix
 
 from conftest import (
     LAMBDA,
@@ -86,12 +87,9 @@ def test_order_independence():
     rng = random.Random(0)
     for _ in range(200):
         binary = rng.random() < 0.5
-        if binary:
-            m = BinaryMatrix([[rng.randint(0, 1) for _ in range(4)] for _ in range(4)])
-            mod = cb
-        else:
-            m = IntegralMatrix([[rng.randint(0, 3) for _ in range(3)] for _ in range(3)])
-            mod = ci
+        n = 4 if binary else 3
+        m = random_matrix(rng, binary, n, n)
+        mod = cb if binary else ci
         canonical, _ = exhaust(m, (UP, LEFT))
         for _ in range(5):
             x = m
@@ -114,7 +112,7 @@ def test_submatrix_normalization():
     # [k] x [l] block in place
     rng = random.Random(1)
     for trial in range(60):
-        m = IntegralMatrix([[rng.randint(0, 3) for _ in range(4)] for _ in range(4)])
+        m = random_matrix(rng, False, 4, 4)
         k, l = rng.randint(1, 4), rng.randint(1, 4)
         x = m
         progress = True

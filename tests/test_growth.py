@@ -47,6 +47,7 @@ from doublecrystal.shapes import (
     strip_le,
     trim,
 )
+from doublecrystal.verify import check_growth, random_matrix
 
 from conftest import M_BIN, M_INT, matrices, outcome
 
@@ -157,11 +158,7 @@ def test_growth_matches_normalization_random():
     rng = random.Random(2)
     for _ in range(25):
         binary = rng.random() < 0.5
-        h, w = rng.randint(1, 4), rng.randint(1, 4)
-        cls = BinaryMatrix if binary else IntegralMatrix
-        m = cls([[rng.randint(0, 1 if binary else 3) for _ in range(w)] for _ in range(h)])
-        for o in ORIENTATIONS:
-            growth_diagram(m, o, verify=True)
+        check_growth(random_matrix(rng, binary, rng.randint(1, 4), rng.randint(1, 4)))
 
 
 def test_growth_border_readouts():
@@ -209,7 +206,7 @@ def test_french_form():
     rng = random.Random(3)
     for _ in range(25):
         h, w = rng.randint(1, 4), rng.randint(1, 4)
-        m = BinaryMatrix([[rng.randint(0, 1) for _ in range(w)] for _ in range(h)])
+        m = random_matrix(rng, True, h, w)
         k = h
         out, _ = exhaust(m, (DOWN, LEFT), bound=k)
         lam = implicit_shape(m)
@@ -434,8 +431,7 @@ GROWTH_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 @GROWTH_SETTINGS
 @given(matrices(8))
 def test_growth_matches_normalization_property(m):
-    for o in ORIENTATIONS:
-        growth_diagram(m, o, verify=True)
+    check_growth(m)
 
 
 @GROWTH_SETTINGS

@@ -2,8 +2,6 @@ import random
 
 import pytest
 
-from doublecrystal.crystal_binary import LEFT, UP
-from doublecrystal.decomposition import exhaust
 from doublecrystal.insertion import (
     burge,
     column_insert,
@@ -14,6 +12,7 @@ from doublecrystal.insertion import (
 )
 from doublecrystal.matrices import BINARY, INTEGRAL, BinaryMatrix, IntegralMatrix, diagon, encode
 from doublecrystal.shapes import REVERSE_TRANSPOSE, SST, TRANSPOSE, Tableau, trim
+from doublecrystal.verify import check_rectify, random_sst
 
 from conftest import (
     LBAR_CHAIN,
@@ -123,18 +122,4 @@ def test_rectify_matches_crystal_exhaustion():
     rng = random.Random(10)
     for _ in range(40):
         inner = trim(sorted((rng.randint(0, 3) for _ in range(3)), reverse=True))
-        chain = [inner]
-        for _ in range(rng.randint(1, 4)):
-            cur = chain[-1]
-            nxt = []
-            for i in range(len(cur) + 1):
-                lo = cur[i] if i < len(cur) else 0
-                cap = nxt[i - 1] if i else lo + 3
-                prev_above = cur[i - 1] if i else lo + 3
-                hi = min(cap, prev_above, lo + 3)
-                nxt.append(rng.randint(lo, max(lo, hi)))
-            chain.append(trim(nxt))
-        t = Tableau(SST, tuple(chain))
-        s = rectify(t)
-        assert encode(s, INTEGRAL) == exhaust(encode(t, INTEGRAL), (UP,))[0]
-        assert encode(s, BINARY) == exhaust(encode(t, BINARY), (LEFT,))[0]
+        check_rectify(random_sst(rng, inner, 4, 3))

@@ -29,7 +29,7 @@ from doublecrystal.shapes import (
     subpartitions,
 )
 
-from conftest import M_BIN, M_INT
+from conftest import M_BIN, M_INT, all_binary, all_integral
 
 SHAPE = SkewShape((9, 8, 5, 5, 3), (4, 1))
 
@@ -94,15 +94,13 @@ def test_condition_rotation_and_transposition():
     rects = [(2, 3), (3, 2), (3, 3)]
     shapes = [SkewShape(o, i) for o in partitions_up_to(4) for i in subpartitions(o)]
     for h, w in rects:
-        for bits in itertools.product((0, 1), repeat=h * w):
-            m = BinaryMatrix([bits[i * w:(i + 1) * w] for i in range(h)])
+        for m in all_binary(h, w):
             for sh in shapes[::7]:
                 csh = SkewShape(conjugate(sh.outer), conjugate(sh.inner))
                 assert condition(m, sh, TABLEAU, BINARY) == condition(
                     m.rotate_cw(), csh, LR, BINARY
                 )
-    for vals in itertools.product(range(3), repeat=4):
-        m = IntegralMatrix([vals[:2], vals[2:]])
+    for m in all_integral(2, 2, 2):
         for sh in shapes[::5]:
             assert condition(m, sh, LR, INTEGRAL) == condition(
                 m.transpose(), sh, TABLEAU, INTEGRAL

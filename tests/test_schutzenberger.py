@@ -11,24 +11,10 @@ from doublecrystal.shapes import (
     TRANSPOSE,
     SkewShape,
     Tableau,
-    trim,
 )
+from doublecrystal.verify import check_dual, random_sst
 
 from conftest import LBAR_CHAIN, LBARSTAR_CHAIN, R_CHAIN, RSTAR_CHAIN, S_CHAIN
-
-
-def random_sst(rng, max_strips=5, step=3):
-    chain = [()]
-    for _ in range(rng.randint(1, max_strips)):
-        cur = chain[-1]
-        nxt = []
-        for i in range(len(cur) + 1):
-            lo = cur[i] if i < len(cur) else 0
-            cap = nxt[i - 1] if i else lo + step
-            above = cur[i - 1] if i else lo + step
-            nxt.append(rng.randint(lo, max(lo, min(cap, above, lo + step))))
-        chain.append(trim(nxt))
-    return Tableau(SST, tuple(chain))
 
 
 def test_dual_goldens():
@@ -65,10 +51,7 @@ def test_dual_involution_and_weight():
         t = random_sst(rng)
         if not 0 < sum(t.outer) <= 10:
             continue
-        d = dual(t)
-        assert d.flavor == REVERSE
-        assert dual(d) == t
-        assert trim(d.weight()) == trim(t.weight())
+        check_dual(t)
         done += 1
 
 
@@ -84,9 +67,7 @@ def test_rectification_route():
         t = random_sst(rng)
         if not 0 < sum(t.outer) <= 10:
             continue
-        k, l = len(t.outer), t.outer[0]
-        sd = rotate_complement(dual(t), (k, l))
-        assert rectify(sd) == t
+        check_dual(t)
         done += 1
 
 

@@ -10,21 +10,17 @@ from hypothesis import strategies as st
 from doublecrystal import crystal_binary as cb
 from doublecrystal import crystal_integral as ci
 from doublecrystal.crystal_binary import DIRECTIONS, LEFT, UP
-from doublecrystal.decomposition import _index_limit, _sweep, compose, decompose, exhaust
-from doublecrystal.insertion import burge, dual_rsk_col
-from doublecrystal.matrices import BINARY, INTEGRAL, BinaryMatrix, IntegralMatrix, encode
-from doublecrystal.shapes import trim
-from doublecrystal.verify import oracle_move
+from doublecrystal.decomposition import _index_limit, _sweep, exhaust
+from doublecrystal.verify import (
+    check_insertion_encodings,
+    check_roundtrip,
+    oracle_move,
+    random_matrix,
+)
 
 from conftest import matrices
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
-
-
-@SETTINGS
-@given(matrices(), st.sampled_from([(UP,), (LEFT,), (UP, LEFT)]))
-def test_sweep_reaches_the_raising_exhaustion(m, directions):
-    assert _sweep(m, directions)[0].rows == exhaust(m, directions)[0].rows
 
 
 @SETTINGS
@@ -62,10 +58,7 @@ def test_exhaust_scans_each_pass_to_its_first_idle_ladder(monkeypatch):
     rng = random.Random(9)
     for t in range(400):
         h, w = rng.randint(0, 9), rng.randint(0, 9)
-        if t % 2:
-            m = BinaryMatrix([[rng.randint(0, 1) for _ in range(w)] for _ in range(h)])
-        else:
-            m = IntegralMatrix([[rng.randint(0, 3) for _ in range(w)] for _ in range(h)])
+        m = random_matrix(rng, t % 2 == 1, h, w)
         for d in DIRECTIONS:
             for bound in (None, rng.randint(1, 11)):
                 scans.update(all=0, moved=0)
@@ -80,21 +73,10 @@ PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 @given(matrices(12))
 def test_decompose_matches_insertion_encodings(m):
     """The relations the `oracles` verify suite checks, at up to 12x12."""
-    p, q = decompose(m)
-    if not m.binary:
-        s, lbar = burge(m)
-        assert encode(s, INTEGRAL) == p and encode(lbar, INTEGRAL).transpose() == q
-        return
-    s, r = dual_rsk_col(m)
-    assert encode(s, BINARY) == q
-    # column suffix sums of P reproduce the recording chain
-    n = max(p.width, len(r.chain) - 1)
-    pp = p.pad_to(1, n)
-    chain = tuple(trim(sum(row[j:]) for row in pp.rows) for j in range(n + 1))
-    assert chain == r.padded_chain(n + 1)
+    check_insertion_encodings(m)
 
 
 @PROPERTY_SETTINGS
 @given(matrices(12))
 def test_compose_inverts_decompose(m):
-    assert compose(*decompose(m)) == m
+    check_roundtrip(m)
