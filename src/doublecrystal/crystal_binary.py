@@ -10,10 +10,20 @@ and a column pair bottom to top, writing '(' where a raising move (up,
 left) may move the bit and ')' where a lowering move (down, right) may.
 Successive raising moves flip the unmatched '(' from the left, successive
 lowering moves the unmatched ')' from the right, so `ladder` applies any
-number of them after one scan.  `interchangeable` is the literal one-move
-definition, kept as an independent check.
+number of them after one scan.
+
+There is one scan per sense, `_steps`: it reads the two lines directly (a
+row pair as stored, a column pair as two lists) and visits only their
+unequal bits, forward with a stack of '(' for raising moves and backward
+with a stack of ')' for lowering moves; `move`, `ladder`, `ladder_runs`
+and `potential` all go through it.  `paren_profile` keeps the reference
+reading, the full bracket string of the pair and both stacks in one
+forward pass, which the tests compare with the scan.  `interchangeable`
+is the literal one-move definition, kept as an independent check.
 """
 
+from itertools import compress, count
+from operator import ne
 from typing import NamedTuple, Optional
 
 from .matrices import BinaryMatrix
@@ -77,7 +87,8 @@ def interchangeable(m: BinaryMatrix, k: int, l: int, orientation: str) -> bool:
 
 def _pairs(rows, orientation: str, index: int) -> list[tuple[int, int]]:
     """Bit pairs of rows index, index+1 (left to right) or of columns
-    index, index+1 (bottom to top), zero beyond the stored rectangle."""
+    index, index+1 (bottom to top), zero beyond the stored rectangle: the
+    reference reading of `paren_profile`."""
     if index < 0:
         raise ValueError(f"index must be nonnegative, got {index}")
     h = len(rows)
@@ -95,7 +106,8 @@ def _pairs(rows, orientation: str, index: int) -> list[tuple[int, int]]:
 
 
 def _match(pairs) -> tuple[list[int], list[int]]:
-    """Reading positions of the unmatched '(' (0 over 1) and ')' (1 over 0)."""
+    """Reading positions of the unmatched '(' (0 over 1) and ')' (1 over 0),
+    both from one forward pass over every pair."""
     opens, closes = [], []
     for p, (a, b) in enumerate(pairs):
         if a != b:
@@ -108,22 +120,54 @@ def _match(pairs) -> tuple[list[int], list[int]]:
     return opens, closes
 
 
+def _lines(rows, d: str, index: int):
+    """The two lines of the pair at index in reading order, zero beyond
+    the stored rectangle: rows index, index+1 as stored (up, down), or
+    columns index, index+1 as lists read bottom to top (left, right)."""
+    if index < 0:
+        raise ValueError(f"index must be nonnegative, got {index}")
+    h = len(rows)
+    if d in (UP, DOWN):
+        if index + 1 < h:
+            return rows[index], rows[index + 1]
+        zero = (0,) * (len(rows[0]) if rows else 0)
+        return rows[index] if index < h else zero, zero
+    j = index
+    w = len(rows[0]) if rows else 0
+    if j + 1 < w:
+        return [r[j] for r in reversed(rows)], [r[j + 1] for r in reversed(rows)]
+    return [r[j] for r in reversed(rows)] if j < w else (0,) * h, (0,) * h
+
+
 def _steps(rows, d: str, index: int) -> list[int]:
     """Columns (row pairs) or rows (column pairs) of the bits a full
-    d-ladder at index moves, in move order."""
+    d-ladder at index moves, in move order: one scan of the unequal bits,
+    forward keeping the unmatched '(' for raising moves, backward keeping
+    the unmatched ')' for lowering moves."""
     if d not in DIRECTIONS:
         raise ValueError(f"unknown direction: {d}")
-    opens, closes = _match(_pairs(rows, ROWS if d in (UP, DOWN) else COLS, index))
-    steps = opens if d in (UP, LEFT) else closes[::-1]
+    a, b = _lines(rows, d, index)
+    steps = []
+    if d in (UP, LEFT):
+        for p in compress(count(), map(ne, a, b)):
+            if b[p]:
+                steps.append(p)
+            elif steps:
+                steps.pop()
+    else:
+        for p in compress(count(len(a) - 1, -1), map(ne, reversed(a), reversed(b))):
+            if a[p]:
+                steps.append(p)
+            elif steps:
+                steps.pop()
     if d in (LEFT, RIGHT):
-        return [len(rows) - 1 - p for p in steps]
+        last = len(rows) - 1
+        return [last - p for p in steps]
     return steps
 
 
-def _take(runs: list, k: Optional[int]) -> list:
-    """The (at, n) runs of the first k units of a ladder; None means all."""
-    if k is None:
-        return runs
+def _take(runs: list, k: int) -> list:
+    """The (at, n) runs of the first k units of a ladder."""
     total = sum(n for _, n in runs)
     if not 0 <= k <= total:
         raise ValueError(f"cannot apply {k} moves: the potential is {total}")
@@ -185,7 +229,9 @@ def _records(d: str, index: int, runs: list) -> list[MoveRecord]:
 def ladder_runs(rows: list, d: str, index: int, k: Optional[int] = None) -> list[tuple[int, int]]:
     """`ladder` in place on a list of row lists; returns the (at, n) runs
     moved in move order, at the column (row pairs) or row (column pairs)."""
-    runs = _take(_runs(rows, d, index), k)
+    runs = _runs(rows, d, index)
+    if k is not None:
+        runs = _take(runs, k)
     _shift(rows, d, index, runs)
     return runs
 
@@ -222,7 +268,8 @@ def paren_profile(m: BinaryMatrix, orientation: str, index: int):
 
     '(' marks a pair movable by the raising move of the orientation, ')'
     by the lowering move, '-' anything else.  Returns (string, unmatched
-    open positions, unmatched close positions).
+    open positions, unmatched close positions).  This is the reference
+    reading: it shares no code with `_steps`, the scan moves run on.
     """
     pairs = _pairs(m.rows, orientation, index)
     opens, closes = _match(pairs)

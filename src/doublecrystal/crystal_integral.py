@@ -7,10 +7,19 @@ between a fixed pair of rows or columns happen at a unique position,
 given by the bracket matching of `paren_profile`: raising transfers (up,
 left) flip the unmatched ')' from the right, lowering transfers the
 unmatched '(' from the left, so `ladder` applies any number of them after
-one scan.  `transfer_legal` is the literal definition, kept as an
-independent check.
+one scan.
+
+There is one scan per sense, `_runs`: it reads the two lines directly (a
+row pair as stored, a column pair as two lists) and keeps one counter of
+unmatched brackets, forward for raising transfers and backward for
+lowering ones; `move`, `ladder`, `ladder_runs` and `potential` all go
+through it.  `paren_profile` keeps the reference reading, the bracket
+string of the pair and both counter scans over its (')', '(') counts,
+which the tests compare with the scan.  `transfer_legal` is the literal
+definition, kept as an independent check.
 """
 
+from itertools import count
 from typing import NamedTuple, Optional
 
 from .crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP, _shift, _take
@@ -63,7 +72,7 @@ def _units(rows, axis: str, index: int) -> list[tuple[int, int]]:
     """Per reading step of the pair, the counts of ')' then '(': for rows
     index, index+1 column by column (m[i+1,j], m[i,j]); for columns
     index, index+1 row by row (m[i,j+1], m[i,j]).  Zero beyond the stored
-    rectangle."""
+    rectangle.  The reference reading of `paren_profile`."""
     if index < 0:
         raise ValueError(f"index must be nonnegative, got {index}")
     h = len(rows)
@@ -109,14 +118,53 @@ def _opens(units) -> list[tuple[int, int]]:
     return opens
 
 
+def _lines(rows, d: str, index: int):
+    """The two lines of the pair at index in reading order, zero beyond
+    the stored rectangle: rows index, index+1 as stored (up, down), or
+    columns index, index+1 as lists read top to bottom (left, right)."""
+    if index < 0:
+        raise ValueError(f"index must be nonnegative, got {index}")
+    h = len(rows)
+    if d in (UP, DOWN):
+        if index + 1 < h:
+            return rows[index], rows[index + 1]
+        zero = (0,) * (len(rows[0]) if rows else 0)
+        return rows[index] if index < h else zero, zero
+    j = index
+    w = len(rows[0]) if rows else 0
+    if j + 1 < w:
+        return [r[j] for r in rows], [r[j + 1] for r in rows]
+    return [r[j] for r in rows] if j < w else (0,) * h, (0,) * h
+
+
 def _runs(rows, d: str, index: int) -> list:
     """(column or row, units) of the transfers a full d-ladder at index
-    makes, in move order: raising moves take the unmatched ')' from the
-    right, lowering moves the unmatched '(' from the left."""
+    makes, in move order, from one counter scan of the pair (line index
+    holds each step's '(' count, line index+1 its ')' count): raising
+    moves take the unmatched ')' from the right, found forward, lowering
+    moves the unmatched '(' from the left, found backward.  A ')' matches
+    any unmatched '(' before it, so the scan keeps only their number, the
+    depth."""
     if d not in DIRECTIONS:
         raise ValueError(f"unknown direction: {d}")
-    units = _units(rows, ROWS if d in (UP, DOWN) else COLS, index)
-    return _closes(units)[::-1] if d in (UP, LEFT) else _opens(units)
+    a, b = _lines(rows, d, index)
+    runs, depth = [], 0
+    if d in (UP, LEFT):
+        for at, o, c in zip(count(), a, b):
+            if c > depth:
+                runs.append((at, c - depth))
+                depth = o
+            else:
+                depth += o - c
+    else:
+        for at, o, c in zip(count(len(a) - 1, -1), reversed(a), reversed(b)):
+            if o > depth:
+                runs.append((at, o - depth))
+                depth = c
+            else:
+                depth += c - o
+    runs.reverse()
+    return runs
 
 
 def potential(m: IntegralMatrix, d: str, index: int) -> int:
@@ -134,7 +182,9 @@ def ladder_runs(rows: list, d: str, index: int, k: Optional[int] = None) -> list
     """`ladder` in place on a list of row lists; returns the (at, units)
     runs transferred in move order, at the column (row pairs) or row
     (column pairs)."""
-    runs = _take(_runs(rows, d, index), k)
+    runs = _runs(rows, d, index)
+    if k is not None:
+        runs = _take(runs, k)
     _shift(rows, d, index, runs)
     return runs
 
@@ -173,7 +223,9 @@ def paren_profile(m: IntegralMatrix, axis: str, index: int):
     that '(' units of row i may match ')' units of row i+1 one column to
     the right.  Unmatched ')' count the up potential, unmatched '(' the
     down potential.  Returns (string, column separator positions,
-    unmatched '(' positions, unmatched ')' positions).
+    unmatched '(' positions, unmatched ')' positions).  This is the
+    reference reading: it shares no code with `_runs`, the scan transfers
+    run on.
     """
     units = _units(m.rows, axis, index)
     opens, closes = _opens(units), _closes(units)

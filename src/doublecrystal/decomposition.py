@@ -98,18 +98,40 @@ def _sweep(m: Matrix, directions, bound: Optional[int] = None):
     i cannot move and the pass stops: at most (ladders climbed + limit)
     scans.  Returns (matrix, [(direction, index, runs), ...]) per ladder
     that moved, in climb order, runs as `ladder_runs` returns them.
+
+    Left and right ladders climb the row pairs of a transposed copy, as
+    up and down ladders: a column pair read from row lists costs two
+    index lookups per row, a row pair none.  Its lines are the columns in
+    reading order, bottom to top for binary (so run position p is row
+    h - 1 - p, h the height when the copy is made: a bounded down sweep
+    before it may have added rows), top to bottom for integral.  A matrix
+    with rows but no columns has no copy to make and keeps the column
+    pairs.
     """
     directions = _directions(directions, bound)
     ops = _ops(m)
     rows = [list(r) for r in m.rows]
     ladders = []
     for d in directions:
+        across = d in (LEFT, RIGHT) and bool(rows and rows[0])
+        if across:
+            h = len(rows)
+            lines = [list(c) for c in zip(*(reversed(rows) if m.binary else rows))]
+            sense = UP if d == LEFT else DOWN
+        else:
+            lines, sense = rows, d
         for top in range(_index_limit(m, d, bound)):
             for index in range(top, -1, -1):
-                runs = ops.ladder_runs(rows, d, index)
+                runs = ops.ladder_runs(lines, sense, index)
                 if not runs:
                     break
+                if across and m.binary:
+                    runs = [(h - 1 - at, n) for at, n in runs]
                 ladders.append((d, index, runs))
+        if across:
+            rows = [list(r) for r in zip(*lines)]
+            if m.binary:
+                rows.reverse()
     return type(m)._wrap(tuple(map(tuple, rows))), ladders
 
 

@@ -15,9 +15,11 @@ from .cancellation import (
     STAGES,
     NotCancellable,
     alternating_sum,
+    edge_symbol,
     involution,
     lr_count,
     lr_witness,
+    tableau_side,
 )
 from . import crystal_binary as cb
 from . import crystal_integral as ci
@@ -52,6 +54,8 @@ from .shapes import (
     SST,
     SkewShape,
     Tableau,
+    add,
+    conjugate,
     part,
     partitions_up_to,
     subpartitions,
@@ -292,10 +296,29 @@ def check_stage_agreement(s1, s2, box):
     _require(len(values) == 1, f"LR counts and stage values agree, got {sorted(values)}")
 
 
+def _edge_sign(m, shape, which):
+    """The edge symbol of the margin that the failing condition reads,
+    shifted by shape.inner, against shape.outer: the row sums (binary) or
+    column sums (integral) for LR; for tableau, the other margin, against
+    the conjugate shape for binary (the quarter turn the involution makes)."""
+    if which == LR:
+        margin = m.row_sums() if m.binary else m.col_sums()
+    else:
+        margin = m.col_sums() if m.binary else m.row_sums()
+        if m.binary:
+            shape = SkewShape(conjugate(shape.outer), conjugate(shape.inner))
+    return edge_symbol(add(shape.inner, margin), shape.outer)
+
+
 @_names_case
 def check_involution_pairing(m, partner, shape, which, other):
-    """partner = involution(m, shape, which) pairs back to m, keeps the LR
-    witness, and meets the perpendicular condition for other as m does."""
+    """partner = involution(m, shape, which) reverses the edge sign, and
+    differs from m where that sign is nonzero; it pairs back to m, keeps
+    the LR witness, and meets the perpendicular condition for other as m
+    does."""
+    sign = _edge_sign(m, shape, which)
+    _require(sign + _edge_sign(partner, shape, which) == 0, "the involution reverses the edge sign")
+    _require(sign == 0 or partner != m, "a matrix of nonzero sign is not fixed")
     _require(involution(partner, shape, which) == m, "the involution pairs back")
     if which == LR:
         _require(lr_witness(partner, shape) == lr_witness(m, shape), "the witness is kept")
@@ -395,7 +418,9 @@ def suite_sums(rng):
 
 
 def suite_involution(rng):
-    """Cancellation pairing properties on random failing matrices."""
+    """Cancellation pairing properties on random failing matrices, and on
+    the failing matrices an alternating sum cancels (`tableau_side`),
+    whose edge sign is nonzero."""
     shapes = skew_shapes(4)
     checked = 0
     while checked < 60:
@@ -408,6 +433,18 @@ def suite_involution(rng):
                 continue
             check_involution_pairing(m, partner, sh, which, rng.choice(shapes))
             checked += 1
+    # pairs of weight 0 or 1 seldom have a failing matrix
+    heavy = [s for s in shapes if s.weight >= 2]
+    signed = 0
+    while signed < 10:
+        s1 = rng.choice(heavy)
+        s2 = rng.choice([s for s in heavy if s.weight == s1.weight])
+        mode = rng.choice((BINARY, INTEGRAL))
+        failing = [m for m in tableau_side(s1, s2, mode) if not condition(m, s2, LR, mode)]
+        if failing:
+            m = rng.choice(failing)
+            check_involution_pairing(m, involution(m, s2, LR), s2, LR, rng.choice(shapes))
+            signed += 1
 
 
 def suite_schutzenberger(rng):

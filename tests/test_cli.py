@@ -203,6 +203,22 @@ def test_each_suite_fails_on_a_fault_and_names_its_case(monkeypatch, capsys, nam
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+def test_verify_involution_fails_on_an_identity_involution(monkeypatch, capsys, seed):
+    """The identity map pairs back, keeps the witness and the perpendicular
+    condition, but does not reverse a nonzero edge sign."""
+    def identity(m, shape, which, mode=None):
+        cancellation.involution(m, shape, which, mode)  # raises NotCancellable as before
+        return m
+
+    monkeypatch.setenv("DC_SEED", seed)
+    monkeypatch.setattr(verify, "involution", identity)
+    assert run(["verify", "involution"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "involution: FAIL\n"
+    assert "the involution reverses the edge sign" in err
+
+
 @pytest.mark.parametrize("name,key,orientation", [
     ("diagram1", "mint", "NW"),
     ("diagram2", "mbin", "NW"),

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -297,3 +298,41 @@ def test_at_most_one_move_per_direction():
             assert len(legal) <= 1, (m.rows, sense)
             res = ci.move(m, d, 0)
             assert legal == ([res[1].at] if res else [])
+
+
+def _reference_moves(m, d, index):
+    """Where the unmatched brackets of `paren_profile`, the reference
+    reading, put the d-ladder at index, in move order, one entry per unit:
+    the column of a row pair, the row of a column pair."""
+    orientation = "rows" if d in (UP, DOWN) else "cols"
+    raising = d in (UP, LEFT)
+    if m.binary:
+        _, opens, closes = cb.paren_profile(m, orientation, index)
+        at = list(opens) if raising else list(reversed(closes))
+        # a column pair is read bottom to top
+        return at if orientation == "rows" else [m.height - 1 - p for p in at]
+    _, seps, opens, closes = ci.paren_profile(m, orientation, index)
+    at = list(reversed(closes)) if raising else list(opens)
+    return [bisect_right(seps, p) for p in at]
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "integral"])
+def test_scan_moves_the_unmatched_brackets_of_the_reference_reading(binary):
+    """The one scan behind `ladder` and `potential` moves exactly the
+    unmatched brackets of `paren_profile`, in move order, at every index
+    up to one past the stored rectangle."""
+    ops = cb if binary else ci
+    rng = random.Random(12)
+    for _ in range(300):
+        m = random_matrix(rng, binary, rng.randint(0, 24), rng.randint(0, 24), rng.randint(1, 3))
+        for d in DIRECTIONS:
+            vertical = d in (UP, DOWN)
+            for index in range((m.height if vertical else m.width) + 1):
+                want = _reference_moves(m, d, index)
+                _, records = ops.ladder(m, d, index)
+                if binary:
+                    got = [r.position[1] if vertical else r.position[0] for r in records]
+                else:
+                    got = [r.at for r in records]
+                assert got == want, (m, d, index)
+                assert ops.potential(m, d, index) == len(want), (m, d, index)

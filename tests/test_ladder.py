@@ -4,7 +4,7 @@ pick the unique legal move, and per-move exhaustion follows the canonical
 order documented in `exhaust`, rescanning from index 0 after every ladder."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublecrystal import crystal_binary as cb
@@ -48,6 +48,13 @@ DIRECTION_SETS = [(UP,), (DOWN,), (LEFT,), (RIGHT,), (UP, LEFT), (UP, RIGHT),
 
 @SETTINGS
 @given(matrices(), st.sampled_from(DIRECTION_SETS), st.one_of(st.none(), st.integers(1, 10)))
+# the bounded down sweep adds rows before the left sweep transposes the matrix
+@example(BinaryMatrix([[0, 1, 0, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 0, 1, 0, 0, 0],
+                       [0, 1, 1, 1, 1, 1, 1, 1, 0]]), (DOWN, LEFT), 5)
+# the down sweep adds rows and the right sweep columns
+@example(IntegralMatrix([[1, 0, 2], [2, 1, 0]]), (DOWN, RIGHT), 4)
+# rows without columns: no transposed copy
+@example(BinaryMatrix([[], [], []]), (LEFT,), None)
 def test_exhaust_matches_per_move_exhaustion(m, directions, bound):
     check_exhaust(m, directions, bound)
 
