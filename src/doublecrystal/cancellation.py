@@ -14,6 +14,11 @@ The brute stage sums f * g over every matrix in the box, grouped by margin
 pair: for each pair of compositions with nonzero edge symbols it multiplies
 the symbols by the number of matrices with those row and column sums.
 
+`lr_count`, which is also the fully_reduced stage, is the pruned
+Littlewood-Richardson filling search on plain ints: it builds no matrix.
+`tableau_side` encodes every tableau of shape1 with the content of shape2;
+`scalar --trace` and the tests walk it.
+
 The LR involution's witness is read off the first failing step of the
 matrix's LR chain, which the `matrices` module docstring states.
 """
@@ -36,7 +41,6 @@ from .matrices import (
     TABLEAU,
     Matrix,
     chain_walk,
-    condition,
     encode,
     mode_of,
 )
@@ -203,12 +207,59 @@ def tableau_side(shape1: SkewShape, shape2: SkewShape, mode: str):
 
 def lr_count(shape1: SkewShape, shape2: SkewShape, mode: str) -> int:
     """Number of matrices satisfying both the tableau condition for shape1
-    and the LR condition for shape2."""
-    count = 0
-    for m in tableau_side(shape1, shape2, mode):
-        if condition(m, shape2, LR, mode):
+    and the LR condition for shape2: the LR tableaux of shape1 with content
+    shape2.outer - shape2.inner, in either mode (raises UsageError for an
+    unknown one).
+
+    A depth-first search fills the cells of shape1 row by row from the top,
+    each row right to left (the reverse reading order).  Entry v lies
+    between the entry above plus one and the entry to its right, v is used
+    at most nu_v - mu_v times, and mu + (content so far) stays a partition:
+    the LR condition, checked on every prefix, so a dead branch is cut
+    where it starts.
+    """
+    if mode not in (BINARY, INTEGRAL):
+        raise UsageError(f"unknown mode: {mode!r}")
+    if shape1.weight != shape2.weight:
+        return 0
+    lam, kap = shape1.outer, shape1.inner
+    nu, mu = shape2.outer, shape2.inner
+    top = len(nu) - 1
+    room = [part(nu, v) - part(mu, v) for v in range(len(nu))]  # uses of v left
+    level = [part(mu, v) for v in range(len(nu))]  # mu + content so far
+    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r] - 1, part(kap, r) - 1, -1)]
+    at = {cell: i for i, cell in enumerate(cells)}
+    above = [at.get((r - 1, c), -1) for r, c in cells]
+    right = [at.get((r, c + 1), -1) for r, c in cells]
+    n = len(cells)
+    if n == 0:
+        return 1
+    vals = [0] * n
+    count, i, v = 0, 0, 0
+    while True:
+        hi = top if right[i] < 0 else vals[right[i]]
+        while v <= hi and not (room[v] and (v == 0 or level[v] < level[v - 1])):
+            v += 1
+        if v > hi:
+            # no entry fits cell i: take back the entry of the cell before
+            i -= 1
+            if i < 0:
+                return count
+            v = vals[i]
+            room[v] += 1
+            level[v] -= 1
+            v += 1
+        elif i + 1 == n:
+            # the last cell takes v: one more filling
             count += 1
-    return count
+            v += 1
+        else:
+            # place v and go on to the next cell
+            vals[i] = v
+            room[v] -= 1
+            level[v] += 1
+            i += 1
+            v = 0 if above[i] < 0 else vals[above[i]] + 1
 
 
 def _stage_value(shape1, shape2, stage, mode, box):

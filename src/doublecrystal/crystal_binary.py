@@ -249,7 +249,7 @@ def ladder(
     """
     rows = [list(r) for r in m.rows]
     runs = ladder_runs(rows, d, index, k)
-    return BinaryMatrix._wrap(tuple(map(tuple, rows))), tuple(_records(d, index, runs))
+    return BinaryMatrix._wrap(tuple([*map(tuple, rows)])), tuple(_records(d, index, runs))
 
 
 def move(m: BinaryMatrix, d: str, index: int) -> Optional[tuple[BinaryMatrix, MoveRecord]]:
@@ -260,7 +260,7 @@ def move(m: BinaryMatrix, d: str, index: int) -> Optional[tuple[BinaryMatrix, Mo
     runs = _take(runs, 1)
     rows = [list(r) for r in m.rows]
     _shift(rows, d, index, runs)
-    return BinaryMatrix._wrap(tuple(map(tuple, rows))), _records(d, index, runs)[0]
+    return BinaryMatrix._wrap(tuple([*map(tuple, rows)])), _records(d, index, runs)[0]
 
 
 def paren_profile(m: BinaryMatrix, orientation: str, index: int):

@@ -202,7 +202,7 @@ def ladder(
     """
     rows = [list(r) for r in m.rows]
     runs = ladder_runs(rows, d, index, k)
-    return IntegralMatrix._wrap(tuple(map(tuple, rows))), tuple(_records(d, index, runs))
+    return IntegralMatrix._wrap(tuple([*map(tuple, rows)])), tuple(_records(d, index, runs))
 
 
 def move(m: IntegralMatrix, d: str, index: int) -> Optional[tuple[IntegralMatrix, TransferRecord]]:
@@ -213,7 +213,7 @@ def move(m: IntegralMatrix, d: str, index: int) -> Optional[tuple[IntegralMatrix
     runs = _take(runs, 1)
     rows = [list(r) for r in m.rows]
     _shift(rows, d, index, runs)
-    return IntegralMatrix._wrap(tuple(map(tuple, rows))), _records(d, index, runs)[0]
+    return IntegralMatrix._wrap(tuple([*map(tuple, rows)])), _records(d, index, runs)[0]
 
 
 def paren_profile(m: IntegralMatrix, axis: str, index: int):

@@ -132,7 +132,7 @@ def _sweep(m: Matrix, directions, bound: Optional[int] = None):
             rows = [list(r) for r in zip(*lines)]
             if m.binary:
                 rows.reverse()
-    return type(m)._wrap(tuple(map(tuple, rows))), ladders
+    return type(m)._wrap(tuple([*map(tuple, rows)])), ladders
 
 
 def is_normal(m: Matrix) -> Optional[Partition]:
@@ -186,7 +186,7 @@ def compose(p: Matrix, q: Matrix) -> Matrix:
     rows = [list(r) for r in p.rows]
     for _, index, runs in reversed(ladders):
         ops.ladder_runs(rows, DOWN, index, sum(n for _, n in runs))
-    m = type(p)._wrap(tuple(map(tuple, rows)))
+    m = type(p)._wrap(tuple([*map(tuple, rows)]))
     check_p, check_q = decompose(m)
     if check_p != p or check_q != q:
         raise AssertionError("compose result fails to re-decompose; move rules broken")

@@ -151,23 +151,27 @@ def rsk_backward(mu, nu, kappa) -> tuple[Partition, int]:
     return lam, m
 
 
-def _optional_squares(mu, nu):
-    """The optional-square sets (S, T) of the binary shape datum for trimmed
-    partitions mu, nu.
+def _optional_squares(mp, np_):
+    """The optional-square sets (S, T) of the binary shape datum for
+    partitions mu, nu zero-padded to one length, longer than either.
 
     S consists of the squares that end both a row of mu and a column of nu
     (optional for lam); T of the squares just past both a column of mu and
     a row of nu (optional for kappa).  |T| = |S| + 1 always.
     """
-    n = max(len(mu), len(nu)) + 1
-    mp, np_ = padded(mu, n), padded(nu, n + 1)
-    # S: (i, mu_i - 1) with nu_i >= mu_i > nu_{i+1}
-    s_set = [(i, m - 1) for i, m, a, b in zip(count(), mu, np_, np_[1:]) if a >= m > b]
-    # T: (i, nu_i) with mu_i <= nu_i < mu_{i-1}, where mu_{-1} is infinite
-    t_set = [(i, b) for i, a, m, b in zip(count(), (inf,) + mp, mp, np_) if m <= b < a]
+    s_set, t_set = [], []
+    above = inf  # mu_{i-1}, infinite for the first row
+    for i, m, a, b in zip(count(), mp, np_, np_[1:] + (0,)):
+        # S: (i, mu_i - 1) with nu_i >= mu_i > nu_{i+1}
+        if a >= m > b:
+            s_set.append((i, m - 1))
+        # T: (i, nu_i) with mu_i <= nu_i < mu_{i-1}
+        if m <= a < above:
+            t_set.append((i, a))
+        above = m
     if len(t_set) != len(s_set) + 1:
         raise ShapeDatumError(
-            f"optional square sets of sizes {len(s_set)}, {len(t_set)} for {mu}, {nu}"
+            f"optional square sets of sizes {len(s_set)}, {len(t_set)} for {trim(mp)}, {trim(np_)}"
         )
     return s_set, t_set
 
@@ -239,7 +243,7 @@ def _dual(lam, mu, nu, bit: int, flavor: str) -> Partition:
     lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
     if not (_v_le(lp, mp) and _h_le(lp, np_)):
         raise ShapeDatumError(f"need lam <=v mu and lam <=h nu: {lam}, {mu}, {nu}")
-    s_set, t_set = _optional_squares(mu, nu)
+    s_set, t_set = _optional_squares(mp, np_)
     meet = [a if a < b else b for a, b in zip(mp, np_)]
     for s in s_set:
         if s[1] >= meet[s[0]]:
@@ -278,7 +282,7 @@ def dual_backward(mu, nu, kappa, flavor: str) -> tuple[Partition, int]:
     mp, np_, kp = padded(mu, n), padded(nu, n), padded(kappa, n)
     if not (_h_le(mp, kp) and _v_le(np_, kp)):
         raise ShapeDatumError(f"need mu <=h kappa and nu <=v kappa: {mu}, {nu}, {kappa}")
-    s_set, t_set = _optional_squares(mu, nu)
+    s_set, t_set = _optional_squares(mp, np_)
     pairs, t0 = _match_optional(s_set, t_set, flavor)
     join = tuple(map(max, mp, np_))
     if not all(map(le, join, kp)):

@@ -94,7 +94,12 @@ class Matrix:
 
     @classmethod
     def _wrap(cls, rows):
-        """Internal constructor for rows already known to be canonical."""
+        """Internal constructor for rows already known to be canonical.
+
+        Callers build the row tuple at its exact size, as
+        tuple([*map(tuple, rows)]): tuple() over a map guesses 10 slots
+        and resizes, and the resized tuples, once freed, fill CPython's
+        tuple free lists, which only a full collection empties."""
         m = cls.__new__(cls)
         m.rows = rows
         return m

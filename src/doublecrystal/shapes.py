@@ -23,7 +23,9 @@ VERTICAL = "vertical"
 
 def trim(parts) -> Composition:
     """Canonical form: drop trailing zeros."""
-    parts = tuple(map(int, parts))
+    # at its exact size: tuple(map(...)) guesses 10 slots and resizes, and
+    # the resized tuples fill CPython's tuple free lists when freed
+    parts = tuple([*map(int, parts)])
     n = len(parts)
     while n > 0 and parts[n - 1] == 0:
         n -= 1

@@ -20,6 +20,7 @@ from doublecrystal.cancellation import (
     involution,
     lr_count,
     lr_witness,
+    tableau_side,
 )
 from doublecrystal.decomposition import UsageError
 from doublecrystal.matrices import (
@@ -177,6 +178,61 @@ def test_lr_count_examples():
     assert condition(M_BIN, SkewShape(nu, mu), LR, BINARY)
     assert condition(M_INT, SkewShape(nu, mu), LR, INTEGRAL)
     assert lr_count(SkewShape((1,)), SkewShape((1,)), BINARY) == 1
+
+
+def oracle_lr_count(shape1, shape2, mode):
+    """The count by its definition: the tableau-side encodings of shape1,
+    in the mode's own encoding, that satisfy the LR condition for shape2."""
+    count = 0
+    for m in tableau_side(shape1, shape2, mode):
+        if condition(m, shape2, LR, mode):
+            count += 1
+    return count
+
+
+def equal_weight_pairs(max_size):
+    shapes = skew_shapes(max_size)
+    return [(s1, s2) for s1 in shapes for s2 in shapes if s1.weight == s2.weight]
+
+
+def test_lr_count_matches_the_tableau_oracle():
+    pairs = equal_weight_pairs(6)
+    assert len(pairs) == 8844
+    for s1, s2 in pairs:
+        for mode in (BINARY, INTEGRAL):
+            assert lr_count(s1, s2, mode) == oracle_lr_count(s1, s2, mode), (
+                str(s1), str(s2), mode)
+
+
+@pytest.mark.parametrize("s1,s2,want", [
+    ("7,4,2,1/4", "5,4,3,1/3", 6),
+    ("7,4,2,2/4", "6,4,2,2/2,1", 8),
+    ("5,4,4,2,1/3,1", "6,4,3,2/3", 11),
+    ("6,4,4,1,1/2,1", "6,6,3,1,1/3,1", 9),
+    ("6,6,3,2/2,1", "7,4,4,2/2,1", 4),
+    ("5,4,4,3,3/2,1,1", "6,4,4,3,2/2,2", 9),
+    ("6,5,4,3,2,1/3,2,1", "6,5,4,3,2,1/3,2,1", 1112),
+])
+def test_lr_count_matches_the_kostka_stages_at_weights_10_to_15(s1, s2, want):
+    # tab_first and lr_first are sums of Kostka numbers, independent of
+    # the LR filling search
+    s1, s2 = SkewShape.parse(s1), SkewShape.parse(s2)
+    for mode in (BINARY, INTEGRAL):
+        assert lr_count(s1, s2, mode) == want
+        for stage in (TAB_FIRST, LR_FIRST):
+            assert alternating_sum(s1, s2, stage, mode, _least_box(s1, s2, mode)) == want
+
+
+@pytest.mark.parametrize("s1,s2", [("2,1", "3"), ("2,1", "2,1"), ("1", "2,1")])
+def test_lr_count_rejects_an_unknown_mode(s1, s2):
+    # also for a pair with no tableau, or of different weights
+    with pytest.raises(UsageError, match="unknown mode: 'foo'"):
+        lr_count(SkewShape.parse(s1), SkewShape.parse(s2), "foo")
+
+
+def test_stage_agreement_on_every_pair_up_to_six_cells():
+    for s1, s2 in equal_weight_pairs(6):
+        check_stage_agreement(s1, s2, (6, 6))
 
 
 def test_alternating_sum_trivial():

@@ -40,6 +40,7 @@ from doublecrystal.shapes import (
     conjugate,
     contains,
     is_partition,
+    padded,
     part,
     partitions_up_to,
     revert,
@@ -387,7 +388,8 @@ FLAVORS = (ROW_INSERTION, COL_INSERTION)
 def test_optional_squares_and_matching_match_oracle():
     sets = []
     for mu, nu in itertools.product(partitions_up_to(6), repeat=2):
-        got = outcome(_optional_squares, mu, nu)
+        n = max(len(mu), len(nu)) + 1
+        got = outcome(_optional_squares, padded(mu, n), padded(nu, n))
         assert got == outcome(oracle_optional_squares, mu, nu)
         if not isinstance(got[0], type):
             sets.append(got)
