@@ -368,8 +368,9 @@ def alternating_sum(shape1: SkewShape, shape2: SkewShape, stage: str, mode: str,
 
 def _ladder_apply(m, d, raise_dir, lower_dir, index):
     """e^d(m) along the ladder at index: d raising moves, or -d lowering."""
-    ops = cb if m.binary else ci
-    return ops.ladder(m, raise_dir if d > 0 else lower_dir, index, abs(d))[0]
+    rows = [list(r) for r in m.rows]
+    (cb if m.binary else ci).ladder_runs(rows, raise_dir if d > 0 else lower_dir, index, abs(d))
+    return type(m)._wrap(tuple([*map(tuple, rows)]))
 
 
 def involution(m: Matrix, shape: SkewShape, which: str, mode: str | None = None) -> Matrix:

@@ -291,10 +291,11 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="doublecrystal")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, emits_json=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", help="JSON output")
+        if emits_json:
+            p.add_argument("--json", action="store_true", help="JSON output")
         return p
 
     p = add("encode", cmd_encode, help="encode a semistandard tableau as a matrix")
@@ -313,7 +314,7 @@ def build_parser():
     p.add_argument("--direction", choices=DIRECTIONS, required=True)
     p.add_argument("--index", type=int, required=True)
 
-    p = add("potential", cmd_potential, help="number of successive moves possible")
+    p = add("potential", cmd_potential, emits_json=False, help="number of successive moves possible")
     p.add_argument("matrix", nargs="?")
     p.add_argument("--mode", choices=(BINARY, INTEGRAL))
     p.add_argument("--direction", choices=DIRECTIONS, required=True)
@@ -335,7 +336,7 @@ def build_parser():
     p.add_argument("--q", required=True)
     p.add_argument("--mode", choices=(BINARY, INTEGRAL))
 
-    p = add("normal-form", cmd_normal_form, help="partition of the normal form")
+    p = add("normal-form", cmd_normal_form, emits_json=False, help="partition of the normal form")
     p.add_argument("matrix", nargs="?")
     p.add_argument("--mode", choices=(BINARY, INTEGRAL))
 
@@ -359,7 +360,7 @@ def build_parser():
     p.add_argument("tableau", nargs="?")
     p.add_argument("--flavor", choices=FLAVORS, default=SST)
 
-    p = add("scalar", cmd_scalar, help="alternating-sum scalar product")
+    p = add("scalar", cmd_scalar, emits_json=False, help="alternating-sum scalar product")
     p.add_argument("--mode", choices=(BINARY, INTEGRAL), required=True)
     p.add_argument("--stage", choices=STAGES, required=True)
     p.add_argument("--shape1", required=True)
@@ -368,7 +369,7 @@ def build_parser():
     p.add_argument("--trace", action="store_true",
                    help="print LR cancellation pairs to stderr")
 
-    p = add("pictures", cmd_pictures, help="validate, lift, or enumerate pictures")
+    p = add("pictures", cmd_pictures, emits_json=False, help="validate, lift, or enumerate pictures")
     # one parser per action, so that lift's matrix file may follow the options
     actions = p.add_subparsers(dest="action", required=True)
     shapes = argparse.ArgumentParser(add_help=False)
@@ -381,7 +382,7 @@ def build_parser():
     a.add_argument("--mode", choices=(BINARY, INTEGRAL))
     actions.add_parser("enumerate", parents=[shapes], help="every picture from dom to cod")
 
-    p = add("verify", cmd_verify, help="run named property suites")
+    p = add("verify", cmd_verify, emits_json=False, help="run named property suites")
     p.add_argument("suites", nargs="*", help="suite names (default: all)")
 
     return ap

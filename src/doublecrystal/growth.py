@@ -13,9 +13,9 @@ inputs and call it; growth_diagram calls it on its stored shapes, which
 are already trimmed rule outputs.
 """
 
-from itertools import compress, count
+from itertools import count
 from math import inf
-from operator import add, ge, le, lt, sub
+from operator import add, ge, le, sub
 
 from .decomposition import normal_form
 from .matrices import NE, NW, ORIENTATIONS, SE, SW, BinaryMatrix, IntegralMatrix, Matrix
@@ -243,20 +243,10 @@ def _dual(lam, mu, nu, bit: int, flavor: str) -> Partition:
     lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
     if not (_v_le(lp, mp) and _h_le(lp, np_)):
         raise ShapeDatumError(f"need lam <=v mu and lam <=h nu: {lam}, {mu}, {nu}")
+    # the strip relations put the optional squares and lam inside mu meet nu,
+    # and every square of meet / lam among the optional ones
     s_set, t_set = _optional_squares(mp, np_)
-    meet = [a if a < b else b for a, b in zip(mp, np_)]
-    for s in s_set:
-        if s[1] >= meet[s[0]]:
-            raise ShapeDatumError(f"optional square {s} outside mu meet nu")
     obligatory = [s for s in s_set if s[1] >= lp[s[0]]]
-    if not all(map(le, lp, meet)):
-        raise ShapeDatumError(f"lam = {lam} not contained in mu meet nu")
-    # every square of meet / lam must be optional; S has at most one per row
-    s_col = dict(s_set)
-    for i in compress(count(), map(lt, lp, meet)):
-        j = lp[i] + 1 if s_col.get(i) == lp[i] else lp[i]
-        if j < meet[i]:
-            raise ShapeDatumError(f"obligatory square {(i, j)} missing from lam")
     pairs, t0 = _match_optional(s_set, t_set, flavor)
     new_cells = [pairs[s] for s in obligatory]
     if bit:

@@ -357,8 +357,6 @@ def decode(m: Matrix, shape: SkewShape, mode: str) -> Tableau:
         raise DecodeError(f"chain step at column {k + 1} is not a horizontal strip")
     if mode == BINARY:
         chain = [conjugate(c) for c in chain]
-    if chain[-1] != shape.outer:
-        raise DecodeError("chain does not end at the outer shape")
     return Tableau(SST, tuple(chain))
 
 

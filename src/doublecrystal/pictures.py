@@ -6,7 +6,8 @@ f(s) <=NW f(t)  =>  s <=NE t, where (i,j) <=NW (k,l) means i<=k, j<=l and
 (i,j) <=NE (k,l) means i<=k, j>=l.
 
 `lift` reads the matrix's tableau chain for the domain and its LR chain
-for the codomain; the `matrices` module docstring states both.
+for the codomain; the `matrices` module docstring states both.  It checks
+the matrix it is given, not the picture it builds (`verify.check_pictures`).
 """
 
 from .matrices import (
@@ -142,12 +143,7 @@ def lift(m: Matrix, dom: SkewShape, cod: SkewShape, mode: str) -> Picture:
                     # (height of column j among entries < c)
                     i = part(dom_chain[c], j)
                     mapping.append(((i, j), (c, part(cod_suffix[j + 1], c))))
-    pic = Picture(dom, cod, tuple(mapping))
-    if not validate(pic.mapping, dom, cod):
-        raise AssertionError("greedy lift produced an invalid picture")
-    if project(pic, mode) != m:
-        raise AssertionError("lift does not project back to the matrix")
-    return pic
+    return Picture(dom, cod, tuple(mapping))
 
 
 def enumerate_pictures(dom: SkewShape, cod: SkewShape, cap: int = 8):

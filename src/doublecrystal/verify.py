@@ -31,6 +31,7 @@ from .decomposition import (
     compose,
     decompose,
     exhaust,
+    is_normal,
     normal_form,
     potential,
 )
@@ -232,10 +233,21 @@ def check_perpendicular_potentials(m, d, i, j):
 
 @_names_case
 def check_roundtrip(m):
-    """compose(decompose(m)) = m, and P has the normal form of m."""
+    """Exhausting m up then left, or left then up, reaches the normal form
+    diagram(lam) or diagon(lam) of lam = normal_form(m), and
+    compose(decompose(m)) = m."""
     p, q = decompose(m)
+    lam = normal_form(m)
+    _require(is_normal(exhaust(p, (LEFT,))[0]) == lam, "P exhausted left is the normal form")
+    _require(is_normal(exhaust(q, (UP,))[0]) == lam, "Q exhausted up is the normal form")
     _require(compose(p, q) == m, "compose inverts decompose")
-    _require(normal_form(p) == normal_form(m), "P has the normal form of m")
+
+
+@_names_case
+def check_compose_inverts(p, q):
+    """decompose(compose(p, q)) = (p, q) for a valid pair: P up-exhausted,
+    Q left-exhausted, of one implicit shape."""
+    _require(decompose(compose(p, q)) == (p, q), "decompose inverts compose")
 
 
 @_names_case
@@ -288,8 +300,8 @@ def check_growth(m):
 
 @_names_case
 def check_stage_agreement(s1, s2, box):
-    """Both LR counts and the four stages of both modes agree."""
-    values = {lr_count(s1, s2, BINARY), lr_count(s1, s2, INTEGRAL)}
+    """The LR count and the four stages of both modes agree."""
+    values = {lr_count(s1, s2, BINARY)}
     for mode in (BINARY, INTEGRAL):
         for stage in STAGES:
             values.add(alternating_sum(s1, s2, stage, mode, box))

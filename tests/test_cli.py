@@ -156,6 +156,24 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["potential", "--mode", "binary", "--direction", "up", "--index", "0", "mbin"],
+    ["normal-form", "--mode", "integral", "mint"],
+    ["scalar", "--mode", "binary", "--stage", "brute", "--shape1", "2,1", "--shape2", "2,1"],
+    ["pictures", "enumerate", "--dom", "2,1", "--cod", "2,1"],
+    ["verify", "moves"],
+], ids=lambda argv: argv[0])
+def test_json_on_a_text_only_command_exit_2(files, capsys, argv):
+    """Commands that print only text do not take --json."""
+    argv = [files.get(a, a) for a in argv]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run([argv[0], "--json", *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --json" in err
+
+
 def test_verify_cli(capsys, monkeypatch):
     monkeypatch.setenv("DC_SEED", "5")
     assert run(["verify", "moves", "roundtrip"]) == 0

@@ -18,7 +18,7 @@ from doublecrystal.decomposition import (
     potential,
 )
 from doublecrystal.matrices import BinaryMatrix, IntegralMatrix, diagon, diagram
-from doublecrystal.verify import random_matrix
+from doublecrystal.verify import check_compose_inverts, random_matrix
 
 from conftest import (
     LAMBDA,
@@ -29,6 +29,8 @@ from conftest import (
     PTILDE_BIN,
     Q_BIN,
     Q_INT,
+    all_binary,
+    all_integral,
 )
 
 
@@ -146,6 +148,30 @@ def test_compose_errors():
     bad_q = diagram((8, 8, 5, 3))  # margin incompatibility
     with pytest.raises(ComposeError):
         compose(P_BIN, bad_q)
+
+
+@pytest.mark.parametrize("binary, h, w, top, pairs", [
+    (True, 3, 4, 1, 4096),
+    (False, 3, 3, 1, 2005),
+    (False, 2, 3, 2, 1669),
+])
+def test_compose_inverts_on_mixed_pairs(binary, h, w, top, pairs):
+    """decompose(compose(p, q)) = (p, q) for every P and Q of one implicit
+    shape drawn from two matrices of a box, so most pairs come from no
+    matrix of the box."""
+    ps, qs = {}, {}
+    for m in all_binary(h, w) if binary else all_integral(h, w, top):
+        p, q = decompose(m)
+        lam = normal_form(m)
+        ps.setdefault(lam, set()).add(p)
+        qs.setdefault(lam, set()).add(q)
+    checked = 0
+    for lam in ps:
+        for p in ps[lam]:
+            for q in qs[lam]:
+                check_compose_inverts(p, q)
+                checked += 1
+    assert checked == pairs
 
 
 def test_crystal_class_potentials():

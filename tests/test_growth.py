@@ -450,17 +450,18 @@ def test_growth_corner_matches_insertion_property(m):
 def test_dual_forward_checks_after_the_strip_relations_never_fire():
     # lam <=v mu and lam <=h nu already imply that the optional squares lie
     # in mu meet nu, that lam does, and that lam holds every obligatory
-    # square: no strip-valid triple is rejected
-    parts = list(partitions_up_to(6))
+    # square: the oracle keeps those checks and rejects no strip-valid
+    # triple; dual_forward drops them and is compared with the oracle above
+    parts = list(partitions_up_to(8))
     seen = 0
-    for lam, mu, nu in itertools.product(parts, repeat=3):
-        if not (strip_le(lam, mu, VERTICAL) and strip_le(lam, nu, HORIZONTAL)):
-            continue
-        for bit, flavor in itertools.product((0, 1), FLAVORS):
-            kappa = dual_forward(lam, mu, nu, bit, flavor)
+    for lam in parts:
+        mus = [mu for mu in parts if strip_le(lam, mu, VERTICAL)]
+        nus = [nu for nu in parts if strip_le(lam, nu, HORIZONTAL)]
+        for mu, nu, bit, flavor in itertools.product(mus, nus, (0, 1), FLAVORS):
+            kappa = oracle_dual_forward(lam, mu, nu, bit, flavor)
             assert size(kappa) == size(mu) + size(nu) - size(lam) + bit
             seen += 1
-    assert seen == 4076
+    assert seen == 19092
 
 
 def _reference_grid(m, orientation):
