@@ -370,7 +370,7 @@ def _ladder_apply(m, d, raise_dir, lower_dir, index):
     """e^d(m) along the ladder at index: d raising moves, or -d lowering."""
     rows = [list(r) for r in m.rows]
     (cb if m.binary else ci).ladder_runs(rows, raise_dir if d > 0 else lower_dir, index, abs(d))
-    return type(m)._wrap(tuple([*map(tuple, rows)]))
+    return type(m)._from_lists(rows)
 
 
 def involution(m: Matrix, shape: SkewShape, which: str, mode: str | None = None) -> Matrix:

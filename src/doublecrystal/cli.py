@@ -280,7 +280,11 @@ def cmd_verify(args):
 
     from .verify import run_suites
 
-    seed = int(os.environ.get("DC_SEED", "0"))
+    text = os.environ.get("DC_SEED", "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        raise UsageError(f"DC_SEED must be an integer, got {text!r}") from None
     names = args.suites or ["all"]
     ok = run_suites(names, random.Random(seed), verbose=True)
     if not ok:

@@ -1,4 +1,5 @@
-"""Crystal operations on binary matrices.
+"""Crystal operations on binary matrices, and the ladder layer that both
+crystals share.
 
 A move interchanges one vertically or horizontally adjacent pair of
 distinct bits, subject to prefix/suffix sum conditions that make at most
@@ -12,18 +13,25 @@ Successive raising moves flip the unmatched '(' from the left, successive
 lowering moves the unmatched ')' from the right, so `ladder` applies any
 number of them after one scan.
 
-There is one scan per sense, `_steps`: it reads the two lines directly (a
-row pair as stored, a column pair as two lists) and visits only their
+The binary part is the scan, `_steps`: it reads the two lines directly
+(a row pair as stored, a column pair as two lists) and visits only their
 unequal bits, forward with a stack of '(' for raising moves and backward
-with a stack of ')' for lowering moves; `move`, `ladder`, `ladder_runs`
-and `potential` all go through it.  `paren_profile` keeps the reference
-reading, the full bracket string of the pair and both stacks in one
-forward pass, which the tests compare with the scan.  `interchangeable`
-is the literal one-move definition, kept as an independent check.
+with a stack of ')' for lowering moves.  With it stay `MoveRecord`,
+`_records` and `interchangeable`, the literal one-move definition kept as
+an independent check.
+
+The ladder layer is written here once for both crystals: `_lines` reads
+the two lines of a pair (a column pair bottom to top for binary, top to
+bottom for integral), `_take` cuts a ladder to its first k units, `_shift`
+moves its units in place, and `_kernel` builds `potential`,
+`ladder_runs`, `ladder` and `move` of a mode module on the module's own
+`_runs` and `_records`.  The reference reading, the full bracket string
+of a pair, lives in the tests, which compare it with the scan.
 """
 
+import sys
 from itertools import compress, count
-from operator import ne
+from operator import itemgetter, ne
 from typing import NamedTuple, Optional
 
 from .matrices import BinaryMatrix
@@ -33,10 +41,6 @@ DOWN = "down"
 LEFT = "left"
 RIGHT = "right"
 DIRECTIONS = (UP, DOWN, LEFT, RIGHT)
-
-ROWS = "rows"
-COLS = "cols"
-
 
 class MoveRecord(NamedTuple):
     direction: str
@@ -85,45 +89,11 @@ def interchangeable(m: BinaryMatrix, k: int, l: int, orientation: str) -> bool:
     raise ValueError(f"unknown orientation: {orientation}")
 
 
-def _pairs(rows, orientation: str, index: int) -> list[tuple[int, int]]:
-    """Bit pairs of rows index, index+1 (left to right) or of columns
-    index, index+1 (bottom to top), zero beyond the stored rectangle: the
-    reference reading of `paren_profile`."""
-    if index < 0:
-        raise ValueError(f"index must be nonnegative, got {index}")
-    h = len(rows)
-    w = len(rows[0]) if rows else 0
-    if orientation == ROWS:
-        zero = (0,) * w
-        return list(zip(rows[index] if index < h else zero,
-                        rows[index + 1] if index + 1 < h else zero))
-    if orientation == COLS:
-        j = index
-        if j + 1 < w:
-            return [(r[j], r[j + 1]) for r in reversed(rows)]
-        return [(r[j] if j < w else 0, 0) for r in reversed(rows)]
-    raise ValueError(f"unknown orientation: {orientation}")
-
-
-def _match(pairs) -> tuple[list[int], list[int]]:
-    """Reading positions of the unmatched '(' (0 over 1) and ')' (1 over 0),
-    both from one forward pass over every pair."""
-    opens, closes = [], []
-    for p, (a, b) in enumerate(pairs):
-        if a != b:
-            if b:
-                opens.append(p)
-            elif opens:
-                opens.pop()
-            else:
-                closes.append(p)
-    return opens, closes
-
-
-def _lines(rows, d: str, index: int):
+def _lines(rows, d: str, index: int, upward: bool):
     """The two lines of the pair at index in reading order, zero beyond
     the stored rectangle: rows index, index+1 as stored (up, down), or
-    columns index, index+1 as lists read bottom to top (left, right)."""
+    columns index, index+1 as lists (left, right), read bottom to top if
+    upward, else top to bottom."""
     if index < 0:
         raise ValueError(f"index must be nonnegative, got {index}")
     h = len(rows)
@@ -134,9 +104,11 @@ def _lines(rows, d: str, index: int):
         return rows[index] if index < h else zero, zero
     j = index
     w = len(rows[0]) if rows else 0
+    if upward:
+        rows = rows[::-1]
     if j + 1 < w:
-        return [r[j] for r in reversed(rows)], [r[j + 1] for r in reversed(rows)]
-    return [r[j] for r in reversed(rows)] if j < w else (0,) * h, (0,) * h
+        return [r[j] for r in rows], [r[j + 1] for r in rows]
+    return [r[j] for r in rows] if j < w else (0,) * h, (0,) * h
 
 
 def _steps(rows, d: str, index: int) -> list[int]:
@@ -146,7 +118,7 @@ def _steps(rows, d: str, index: int) -> list[int]:
     the unmatched ')' for lowering moves."""
     if d not in DIRECTIONS:
         raise ValueError(f"unknown direction: {d}")
-    a, b = _lines(rows, d, index)
+    a, b = _lines(rows, d, index, True)  # a column pair is read bottom to top
     steps = []
     if d in (UP, LEFT):
         for p in compress(count(), map(ne, a, b)):
@@ -204,12 +176,6 @@ def _shift(rows: list, d: str, index: int, runs: list) -> None:
         r[dst] += n
 
 
-def potential(m: BinaryMatrix, d: str, index: int) -> int:
-    """Number of times the directional move can be applied successively:
-    the unmatched brackets of the pair that its moves flip."""
-    return len(_steps(m.rows, d, index))
-
-
 def _runs(rows, d: str, index: int) -> list[tuple[int, int]]:
     """`_steps` as (at, 1) runs, the form `_shift` takes."""
     return [(at, 1) for at in _steps(rows, d, index)]
@@ -226,52 +192,53 @@ def _records(d: str, index: int, runs: list) -> list[MoveRecord]:
     return [MoveRecord(d, index, (at, index)) for at, _ in runs]
 
 
-def ladder_runs(rows: list, d: str, index: int, k: Optional[int] = None) -> list[tuple[int, int]]:
-    """`ladder` in place on a list of row lists; returns the (at, n) runs
-    moved in move order, at the column (row pairs) or row (column pairs)."""
-    runs = _runs(rows, d, index)
-    if k is not None:
-        runs = _take(runs, k)
-    _shift(rows, d, index, runs)
-    return runs
+def _kernel(mode, matrix_class):
+    """`potential`, `ladder_runs`, `ladder` and `move` of a mode module:
+    its `_runs` gives a full ladder's (at, n) runs in move order (at: the
+    column of a row pair, the row of a column pair), its `_records` one
+    record per unit.  They, `_take` and `_shift` are read from the module
+    at each call."""
+
+    def potential(m, d: str, index: int) -> int:
+        """Number of moves that can be applied successively in direction d
+        between lines index and index+1: the unmatched brackets of the
+        pair that its moves flip."""
+        return sum(map(itemgetter(1), mode._runs(m.rows, d, index)))
+
+    def ladder_runs(rows: list, d: str, index: int, k: Optional[int] = None) -> list:
+        """`ladder` in place on a list of row lists; returns the (at, n)
+        runs moved in move order."""
+        runs = mode._runs(rows, d, index)
+        if k is not None:
+            runs = mode._take(runs, k)
+        mode._shift(rows, d, index, runs)
+        return runs
+
+    def ladder(m, d: str, index: int, k: Optional[int] = None) -> tuple:
+        """Apply the first k moves (None: the whole potential) in direction
+        d between lines index and index+1, matching brackets once.
+
+        Returns the matrix and one record per move, in move order; the
+        stored rectangle grows only to the cells the moves fill.  `move`
+        is ladder(m, d, index, k=1).  Raises ValueError when k exceeds the
+        potential or index is negative.
+        """
+        rows = [list(r) for r in m.rows]
+        runs = ladder_runs(rows, d, index, k)
+        return matrix_class._from_lists(rows), tuple(mode._records(d, index, runs))
+
+    def move(m, d: str, index: int) -> Optional[tuple]:
+        """Apply one move in direction d between lines index and index+1;
+        None when none is possible."""
+        runs = mode._runs(m.rows, d, index)
+        if not runs:
+            return None
+        runs = mode._take(runs, 1)
+        rows = [list(r) for r in m.rows]
+        mode._shift(rows, d, index, runs)
+        return matrix_class._from_lists(rows), mode._records(d, index, runs)[0]
+
+    return potential, ladder_runs, ladder, move
 
 
-def ladder(
-    m: BinaryMatrix, d: str, index: int, k: Optional[int] = None
-) -> tuple[BinaryMatrix, tuple[MoveRecord, ...]]:
-    """Apply the first k moves (None: the whole potential) in direction d
-    between lines index and index+1, matching brackets once.
-
-    Returns the matrix and one record per move, in move order; the stored
-    rectangle grows only to the cells the moves fill.  `move` is
-    ladder(m, d, index, k=1).  Raises ValueError when k exceeds the
-    potential or index is negative.
-    """
-    rows = [list(r) for r in m.rows]
-    runs = ladder_runs(rows, d, index, k)
-    return BinaryMatrix._wrap(tuple([*map(tuple, rows)])), tuple(_records(d, index, runs))
-
-
-def move(m: BinaryMatrix, d: str, index: int) -> Optional[tuple[BinaryMatrix, MoveRecord]]:
-    """Apply one raising/lowering move; None when none is possible."""
-    runs = _runs(m.rows, d, index)
-    if not runs:
-        return None
-    runs = _take(runs, 1)
-    rows = [list(r) for r in m.rows]
-    _shift(rows, d, index, runs)
-    return BinaryMatrix._wrap(tuple([*map(tuple, rows)])), _records(d, index, runs)[0]
-
-
-def paren_profile(m: BinaryMatrix, orientation: str, index: int):
-    """Bracket string for a row pair (or column pair, read bottom to top).
-
-    '(' marks a pair movable by the raising move of the orientation, ')'
-    by the lowering move, '-' anything else.  Returns (string, unmatched
-    open positions, unmatched close positions).  This is the reference
-    reading: it shares no code with `_steps`, the scan moves run on.
-    """
-    pairs = _pairs(m.rows, orientation, index)
-    opens, closes = _match(pairs)
-    text = "".join("(" if (a, b) == (0, 1) else ")" if (a, b) == (1, 0) else "-" for a, b in pairs)
-    return text, tuple(opens), tuple(closes)
+potential, ladder_runs, ladder, move = _kernel(sys.modules[__name__], BinaryMatrix)

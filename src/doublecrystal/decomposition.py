@@ -135,7 +135,7 @@ def _sweep(m: Matrix, directions, bound: Optional[int] = None):
             rows = [list(r) for r in zip(*lines)]
             if m.binary:
                 rows.reverse()
-    return type(m)._wrap(tuple([*map(tuple, rows)])), ladders
+    return type(m)._from_lists(rows), ladders
 
 
 def is_normal(m: Matrix) -> Optional[Partition]:
@@ -187,7 +187,7 @@ def compose(p: Matrix, q: Matrix) -> Matrix:
     rows = [list(r) for r in p.rows]
     for _, index, runs in reversed(ladders):
         ops.ladder_runs(rows, DOWN, index, sum(n for _, n in runs))
-    return type(p)._wrap(tuple([*map(tuple, rows)]))
+    return type(p)._from_lists(rows)
 
 
 def crystal_class_potentials(m: Matrix, axis: str) -> tuple[int, ...]:

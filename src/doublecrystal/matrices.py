@@ -94,15 +94,20 @@ class Matrix:
 
     @classmethod
     def _wrap(cls, rows):
-        """Internal constructor for rows already known to be canonical.
-
-        Callers build the row tuple at its exact size, as
-        tuple([*map(tuple, rows)]): tuple() over a map guesses 10 slots
-        and resizes, and the resized tuples, once freed, fill CPython's
-        tuple free lists, which only a full collection empties."""
+        """Internal constructor for a row tuple already known to be
+        canonical; `_from_lists` builds one from row lists."""
         m = cls.__new__(cls)
         m.rows = rows
         return m
+
+    @classmethod
+    def _from_lists(cls, rows):
+        """`_wrap` of canonical row lists, as the crystal ladders edit them.
+
+        Builds the row tuple at its exact size: tuple() over a map guesses
+        10 slots and resizes, and the resized tuples, once freed, fill
+        CPython's tuple free lists, which only a full collection empties."""
+        return cls._wrap(tuple([*map(tuple, rows)]))
 
     @property
     def height(self) -> int:

@@ -327,6 +327,14 @@ def test_unknown_suite_exit_2_before_any_suite_runs(capsys, suites):
     assert err == "usage error: unknown suite 'nosuch'\n"
 
 
+def test_non_integer_seed_exit_2_before_any_suite_runs(monkeypatch, capsys):
+    monkeypatch.setenv("DC_SEED", "abc")
+    assert run(["verify", "moves"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: DC_SEED must be an integer, got 'abc'\n"
+
+
 @pytest.mark.parametrize("mode,shape,text,message", [
     ("binary", "2", "0 0\n0 1\n1 0\n", "cumulative conjugate shape not a partition at row 2"),
     ("integral", "2,2", "1 1\n0 2\n", "chain step at column 2 is not a horizontal strip"),

@@ -18,13 +18,145 @@ from doublecrystal.verify import (
 from conftest import M2X9, M3X13, all_binary, all_integral
 
 
+# The reference readings: the full bracket string of a pair and its unmatched
+# brackets, sharing no code with the scans that moves run on.
+
+ROWS = "rows"
+COLS = "cols"
+
+
+def _pairs(rows, orientation: str, index: int) -> list[tuple[int, int]]:
+    """Bit pairs of rows index, index+1 (left to right) or of columns
+    index, index+1 (bottom to top), zero beyond the stored rectangle: the
+    reference reading of `binary_paren_profile`."""
+    if index < 0:
+        raise ValueError(f"index must be nonnegative, got {index}")
+    h = len(rows)
+    w = len(rows[0]) if rows else 0
+    if orientation == ROWS:
+        zero = (0,) * w
+        return list(zip(rows[index] if index < h else zero,
+                        rows[index + 1] if index + 1 < h else zero))
+    if orientation == COLS:
+        j = index
+        if j + 1 < w:
+            return [(r[j], r[j + 1]) for r in reversed(rows)]
+        return [(r[j] if j < w else 0, 0) for r in reversed(rows)]
+    raise ValueError(f"unknown orientation: {orientation}")
+
+
+def _match(pairs) -> tuple[list[int], list[int]]:
+    """Reading positions of the unmatched '(' (0 over 1) and ')' (1 over 0),
+    both from one forward pass over every pair."""
+    opens, closes = [], []
+    for p, (a, b) in enumerate(pairs):
+        if a != b:
+            if b:
+                opens.append(p)
+            elif opens:
+                opens.pop()
+            else:
+                closes.append(p)
+    return opens, closes
+
+
+def binary_paren_profile(m: BinaryMatrix, orientation: str, index: int):
+    """Bracket string for a row pair (or column pair, read bottom to top).
+
+    '(' marks a pair movable by the raising move of the orientation, ')'
+    by the lowering move, '-' anything else.  Returns (string, unmatched
+    open positions, unmatched close positions).  This is the reference
+    reading: it shares no code with `_steps`, the scan moves run on.
+    """
+    pairs = _pairs(m.rows, orientation, index)
+    opens, closes = _match(pairs)
+    text = "".join("(" if (a, b) == (0, 1) else ")" if (a, b) == (1, 0) else "-" for a, b in pairs)
+    return text, tuple(opens), tuple(closes)
+
+
+def _units(rows, axis: str, index: int) -> list[tuple[int, int]]:
+    """Per reading step of the pair, the counts of ')' then '(': for rows
+    index, index+1 column by column (m[i+1,j], m[i,j]); for columns
+    index, index+1 row by row (m[i,j+1], m[i,j]).  Zero beyond the stored
+    rectangle.  The reference reading of `integral_paren_profile`."""
+    if index < 0:
+        raise ValueError(f"index must be nonnegative, got {index}")
+    h = len(rows)
+    w = len(rows[0]) if rows else 0
+    if axis == ROWS:
+        zero = (0,) * w
+        return list(zip(rows[index + 1] if index + 1 < h else zero,
+                        rows[index] if index < h else zero))
+    if axis == COLS:
+        j = index
+        if j + 1 < w:
+            return [(r[j + 1], r[j]) for r in rows]
+        # a matrix without columns has no column pair to read
+        return [(0, r[j] if j < w else 0) for r in rows] if w else []
+    raise ValueError(f"unknown axis: {axis}")
+
+
+def _closes(units) -> list[tuple[int, int]]:
+    """(step, count) of the unmatched ')', left to right: each ')' matches
+    the nearest unmatched '(' before it, so only their number matters."""
+    depth, closes = 0, []
+    for step, (c, o) in enumerate(units):
+        if c > depth:
+            closes.append((step, c - depth))
+            depth = o
+        else:
+            depth += o - c
+    return closes
+
+
+def _opens(units) -> list[tuple[int, int]]:
+    """(step, count) of the unmatched '(', left to right: the scan of
+    `_closes` read backwards."""
+    depth, opens = 0, []
+    for step in range(len(units) - 1, -1, -1):
+        c, o = units[step]
+        if o > depth:
+            opens.append((step, o - depth))
+            depth = c
+        else:
+            depth += c - o
+    opens.reverse()
+    return opens
+
+
+def integral_paren_profile(m: IntegralMatrix, axis: str, index: int):
+    """Bracket string for a pair of rows (or of columns, read top to bottom).
+
+    Per column j, emit m[i+1,j] symbols ')' then m[i,j] symbols '(' so
+    that '(' units of row i may match ')' units of row i+1 one column to
+    the right.  Unmatched ')' count the up potential, unmatched '(' the
+    down potential.  Returns (string, column separator positions,
+    unmatched '(' positions, unmatched ')' positions).  This is the
+    reference reading: it shares no code with `_runs`, the scan transfers
+    run on.
+    """
+    units = _units(m.rows, axis, index)
+    opens, closes = _opens(units), _closes(units)
+    sym, seps, starts = [], [], []
+    for c, o in units:
+        starts.append(len(sym) + c)  # position of the step's first '('
+        sym.extend(")" * c + "(" * o)
+        seps.append(len(sym))
+    # a step's unmatched '(' are its first ones, its unmatched ')' its last
+    open_un = tuple(starts[step] + u for step, n in opens for u in range(n))
+    close_un = tuple(starts[step] - n + u for step, n in closes for u in range(n))
+    return "".join(sym), tuple(seps[:-1]), open_un, close_un
+
+
 def climb(mod, m, d, index):
-    """Apply moves until exhausted, returning (matrix, positions)."""
+    """Apply moves until exhausted, returning (matrix, positions); one
+    move past the potential at most, so that a move that changes nothing
+    fails the caller instead of looping."""
     out = []
-    while True:
+    for _ in range(mod.potential(m, d, index) + 1):
         res = mod.move(m, d, index)
         if res is None:
-            return m, out
+            break
         m, rec = res
         out.append(rec.position if hasattr(rec, "position") else rec.at)
     return m, out
@@ -91,13 +223,13 @@ class TestBinary:
         assert cb.potential(M3X13, DOWN, 0) - cb.potential(M3X13, UP, 0) == rs[0] - rs[1]
 
     def test_paren_profile(self):
-        s, op, cl = cb.paren_profile(M3X13, "rows", 0)
+        s, op, cl = binary_paren_profile(M3X13, "rows", 0)
         assert s == ")((-())((-((-"
         assert len(op) == cb.potential(M3X13, UP, 0)
         assert len(cl) == cb.potential(M3X13, DOWN, 0)
-        s, _, _ = cb.paren_profile(M3X13, "rows", 1)
+        s, _, _ = binary_paren_profile(M3X13, "rows", 1)
         assert s == "--)-)-(----)-"
-        s, op, cl = cb.paren_profile(BinaryMatrix([[0, 0], [0, 0]]), "rows", 0)
+        s, op, cl = binary_paren_profile(BinaryMatrix([[0, 0], [0, 0]]), "rows", 0)
         assert s == "--" and not op and not cl
 
     def test_paren_profile_columns_match_potentials(self):
@@ -105,7 +237,7 @@ class TestBinary:
         for _ in range(100):
             m = random_matrix(rng, True, 4, 4)
             for j in range(3):
-                _, op, cl = cb.paren_profile(m, "cols", j)
+                _, op, cl = binary_paren_profile(m, "cols", j)
                 assert len(op) == cb.potential(m, LEFT, j)
                 assert len(cl) == cb.potential(m, RIGHT, j)
 
@@ -178,14 +310,14 @@ class TestIntegral:
         assert ci.potential(IntegralMatrix(), UP, 0) == 0
 
     def test_paren_profile(self):
-        s, seps, op, cl = ci.paren_profile(M2X9, "rows", 0)
+        s, seps, op, cl = integral_paren_profile(M2X9, "rows", 0)
         assert len(op) == 4 and len(cl) == 4
         assert s.count("(") == 17 and s.count(")") == 17
         from doublecrystal.matrices import diagon
 
-        s, _, op, cl = ci.paren_profile(diagon((2, 1)), "rows", 0)
+        s, _, op, cl = integral_paren_profile(diagon((2, 1)), "rows", 0)
         assert s == "(()" and len(op) == 1 and len(cl) == 0
-        s, _, op, cl = ci.paren_profile(IntegralMatrix([[0]]), "rows", 0)
+        s, _, op, cl = integral_paren_profile(IntegralMatrix([[0]]), "rows", 0)
         assert s == ""
 
     def test_min_invariant(self):
@@ -301,17 +433,17 @@ def test_at_most_one_move_per_direction():
 
 
 def _reference_moves(m, d, index):
-    """Where the unmatched brackets of `paren_profile`, the reference
-    reading, put the d-ladder at index, in move order, one entry per unit:
+    """Where the unmatched brackets of the paren profiles, the reference
+    readings, put the d-ladder at index, in move order, one entry per unit:
     the column of a row pair, the row of a column pair."""
     orientation = "rows" if d in (UP, DOWN) else "cols"
     raising = d in (UP, LEFT)
     if m.binary:
-        _, opens, closes = cb.paren_profile(m, orientation, index)
+        _, opens, closes = binary_paren_profile(m, orientation, index)
         at = list(opens) if raising else list(reversed(closes))
         # a column pair is read bottom to top
         return at if orientation == "rows" else [m.height - 1 - p for p in at]
-    _, seps, opens, closes = ci.paren_profile(m, orientation, index)
+    _, seps, opens, closes = integral_paren_profile(m, orientation, index)
     at = list(reversed(closes)) if raising else list(opens)
     return [bisect_right(seps, p) for p in at]
 
@@ -319,7 +451,7 @@ def _reference_moves(m, d, index):
 @pytest.mark.parametrize("binary", [True, False], ids=["binary", "integral"])
 def test_scan_moves_the_unmatched_brackets_of_the_reference_reading(binary):
     """The one scan behind `ladder` and `potential` moves exactly the
-    unmatched brackets of `paren_profile`, in move order, at every index
+    unmatched brackets of the reference reading, in move order, at every index
     up to one past the stored rectangle."""
     ops = cb if binary else ci
     rng = random.Random(12)
