@@ -149,17 +149,17 @@ def integral_paren_profile(m: IntegralMatrix, axis: str, index: int):
 
 
 def climb(mod, m, d, index):
-    """Apply moves until exhausted, returning (matrix, positions); one
-    move past the potential at most, so that a move that changes nothing
-    fails the caller instead of looping."""
+    """Apply moves until exhausted, returning (matrix, positions).  Each
+    move carries one unit of the matrix, so more moves than its entry sum
+    fail instead of looping."""
     out = []
-    for _ in range(mod.potential(m, d, index) + 1):
+    for _ in range(sum(map(sum, m.rows)) + 1):
         res = mod.move(m, d, index)
         if res is None:
-            break
+            return m, out
         m, rec = res
         out.append(rec.position if hasattr(rec, "position") else rec.at)
-    return m, out
+    raise AssertionError((m.rows, d, index, "more moves than the matrix has units"))
 
 
 class TestBinary:
