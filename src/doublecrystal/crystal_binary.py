@@ -25,13 +25,14 @@ the two lines of a pair (a column pair bottom to top for binary, top to
 bottom for integral), `_take` cuts a ladder to its first k units, `_shift`
 moves its units in place, and `_kernel` builds `potential`,
 `ladder_runs`, `ladder` and `move` of a mode module on the module's own
-`_runs` and `_records`.  The reference reading, the full bracket string
+`_runs`, `_units` and `_records` (binary `_units` counts the steps of the
+scan without building runs).  The reference reading, the full bracket string
 of a pair, lives in the tests, which compare it with the scan.
 """
 
 import sys
 from itertools import compress, count
-from operator import itemgetter, ne
+from operator import ne
 from typing import NamedTuple, Optional
 
 from .matrices import BinaryMatrix
@@ -181,6 +182,11 @@ def _runs(rows, d: str, index: int) -> list[tuple[int, int]]:
     return [(at, 1) for at in _steps(rows, d, index)]
 
 
+def _units(rows, d: str, index: int) -> int:
+    """The units a full d-ladder at index moves: one per step."""
+    return len(_steps(rows, d, index))
+
+
 def _records(d: str, index: int, runs: list) -> list[MoveRecord]:
     """One record per move: the cell of the bit '1' before it."""
     if d == UP:
@@ -195,15 +201,15 @@ def _records(d: str, index: int, runs: list) -> list[MoveRecord]:
 def _kernel(mode, matrix_class):
     """`potential`, `ladder_runs`, `ladder` and `move` of a mode module:
     its `_runs` gives a full ladder's (at, n) runs in move order (at: the
-    column of a row pair, the row of a column pair), its `_records` one
-    record per unit.  They, `_take` and `_shift` are read from the module
-    at each call."""
+    column of a row pair, the row of a column pair), its `_units` their
+    total units from the same scan, its `_records` one record per unit.
+    They, `_take` and `_shift` are read from the module at each call."""
 
     def potential(m, d: str, index: int) -> int:
         """Number of moves that can be applied successively in direction d
         between lines index and index+1: the unmatched brackets of the
         pair that its moves flip."""
-        return sum(map(itemgetter(1), mode._runs(m.rows, d, index)))
+        return mode._units(m.rows, d, index)
 
     def ladder_runs(rows: list, d: str, index: int, k: Optional[int] = None) -> list:
         """`ladder` in place on a list of row lists; returns the (at, n)

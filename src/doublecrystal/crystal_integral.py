@@ -16,13 +16,14 @@ of unmatched brackets, forward for raising transfers and backward for
 lowering ones.  With it stay `TransferRecord`, `_records` and
 `transfer_legal`, the literal definition kept as an independent check.
 `potential`, `ladder_runs`, `ladder` and `move` are the ladder layer of
-`crystal_binary`, built on this module's `_runs` and `_records`.  The
-reference reading, the full bracket string of a pair, lives in the
-tests, which compare it with the scan.
+`crystal_binary`, built on this module's `_runs`, `_units` and
+`_records`.  The reference reading, the full bracket string of a pair,
+lives in the tests, which compare it with the scan.
 """
 
 import sys
 from itertools import count
+from operator import itemgetter
 from typing import NamedTuple
 
 # the ladder layer reads _take and _shift from this module at each call
@@ -100,6 +101,11 @@ def _runs(rows, d: str, index: int) -> list:
                 depth += c - o
     runs.reverse()
     return runs
+
+
+def _units(rows, d: str, index: int) -> int:
+    """The units a full d-ladder at index transfers: the sum of its runs."""
+    return sum(map(itemgetter(1), _runs(rows, d, index)))
 
 
 def _records(d: str, index: int, runs: list) -> list[TransferRecord]:

@@ -7,10 +7,12 @@ local rules from empty borders, with optional per-cell verification
 against direct normalization.
 
 Each forward rule has one implementation (_burge, _rsk, _dual) on trimmed
-int tuples: it pads them once, makes every ShapeDatumError check on the
-padded tuples and trims its result once.  The public rules trim their
-inputs and call it; growth_diagram calls it on its stored shapes, which
-are already trimmed rule outputs.
+int tuples: it pads them once and makes one pass over the rows, checking
+both strip relations row by row and building kappa as it goes; _dual
+spots and matches the optional squares in the same pass.  Every
+ShapeDatumError check stays, as a comparison or count in that pass.  The
+public rules trim their inputs and call it; growth_diagram calls it on its
+stored shapes, which are already trimmed rule outputs.
 """
 
 from itertools import count
@@ -58,19 +60,23 @@ def _burge(lam, mu, nu, m: int, trace=None) -> Partition:
         raise ShapeDatumError("entry must be nonnegative")
     n = max(len(lam), len(mu), len(nu)) + 1
     lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
-    if not (_h_le(lp, mp) and _h_le(lp, np_)):
-        raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
-    # gain[i] = mu_i + nu_i - lam_i
-    gain = tuple(map(sub, map(add, mp, np_), lp))
-    c = m
-    kappa = [0] * n
+    # i runs down to 1 with l = lam_i and above = lam_{i-1}; row i checks
+    # lam_i <= mu_i, nu_i <= lam_{i-1}, row 0 the rest of both strips
+    c, l, kappa = m, 0, [0] * n
     for i in range(n - 1, 0, -1):
-        d = gain[i] + c
-        k = kappa[i] = d if d < lp[i - 1] else lp[i - 1]
+        above, p, q = lp[i - 1], mp[i], np_[i]
+        if not (l <= p <= above and l <= q <= above):
+            raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
+        d = p + q - l + c
+        k = kappa[i] = d if d < above else above
         c = d - k
         if trace is not None and (trace or k != 0 or d != c):
             trace.append((d, k, c))
-    kappa[0] = gain[0] + c
+        l = above
+    p, q = mp[0], np_[0]
+    if not (l <= p and l <= q):
+        raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
+    kappa[0] = p + q - l + c
     return trim(kappa)
 
 
@@ -117,13 +123,21 @@ def _rsk(lam, mu, nu, m: int) -> Partition:
     if m < 0:
         raise ShapeDatumError("entry must be nonnegative")
     n = max(len(lam), len(mu), len(nu)) + 1
-    lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
-    if not (_h_le(lp, mp) and _h_le(lp, np_)):
-        raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
-    lows = [a if a < b else b for a, b in zip(mp, np_)]
-    tops = [b if a < b else a for a, b in zip(mp, np_)]
-    # kappa_{i+1} = min(mu_i, nu_i) - lam_i + max(mu_{i+1}, nu_{i+1})
-    return trim((m + tops[0], *map(add, map(sub, lows, lp), tops[1:])))
+    # kappa_i = x_i + max(mu_i, nu_i), where x_0 = m and
+    # x_{i+1} = min(mu_i, nu_i) - lam_i; row i checks
+    # lam_i <= mu_i, nu_i <= lam_{i-1}
+    x, above, kappa = m, inf, []
+    for l, p, q in zip(padded(lam, n), padded(mu, n), padded(nu, n)):
+        if not (l <= p <= above and l <= q <= above):
+            raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
+        if p < q:
+            kappa.append(x + q)
+            x = p - l
+        else:
+            kappa.append(x + p)
+            x = q - l
+        above = l
+    return trim(kappa)
 
 
 def rsk_forward(lam, mu, nu, m: int) -> Partition:
@@ -221,38 +235,79 @@ def _match_optional(s_set, t_set, flavor):
     return pairs, rest[0]
 
 
-def _add_cells(base, cells) -> Partition:
-    rows = list(base) + [0] * 4
-    for i, j in cells:
-        while len(rows) <= i:
-            rows.append(0)
-        if rows[i] != j:
-            raise ShapeDatumError(f"cell {(i, j)} does not extend {trim(base)}")
-        rows[i] += 1
-    out = trim(rows)
-    if not _is_trimmed_partition(out):
-        raise ShapeDatumError(f"adding cells broke the partition: {out}")
-    return out
-
-
 def _dual(lam, mu, nu, bit: int, flavor: str) -> Partition:
-    """dual_forward on trimmed int tuples."""
+    """dual_forward on trimmed int tuples, in one pass over the padded rows.
+
+    Row i checks both strip relations against row i - 1, then meets the
+    optional square T = (i, nu_i) of kappa, if any, before S = (i, mu_i - 1)
+    of lam.  Row insertion matches first in, first out: a T takes the
+    oldest S still waiting, which lies in a row above it.  Column insertion
+    matches last in, first out: a T waits on a stack and an S takes the
+    newest.  Row i of kappa is the larger of mu_i, nu_i, plus one if its T
+    is matched to an obligatory S (one in a row j with lam_j < mu_j) or is
+    the unmatched T and the bit is 1.
+    """
     if bit not in (0, 1):
         raise ShapeDatumError("bit must be 0 or 1")
     n = max(len(lam), len(mu), len(nu)) + 1
     lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
-    if not (_v_le(lp, mp) and _h_le(lp, np_)):
-        raise ShapeDatumError(f"need lam <=v mu and lam <=h nu: {lam}, {mu}, {nu}")
-    # the strip relations put the optional squares and lam inside mu meet nu,
-    # and every square of meet / lam among the optional ones
-    s_set, t_set = _optional_squares(mp, np_)
-    obligatory = [s for s in s_set if s[1] >= lp[s[0]]]
-    pairs, t0 = _match_optional(s_set, t_set, flavor)
-    new_cells = [pairs[s] for s in obligatory]
+    fifo = flavor == ROW_INSERTION  # an unknown flavor is matched as columns
+    kappa = []
+    s_rows = []  # row insertion: the S rows, waiting from s_rows[head] on
+    t_rows = []  # the unmatched T rows; column insertion: the stack
+    head = n_s = 0
+    pl = above = inf  # lam_{i-1}, mu_{i-1}
+    for i, l, m, a, b in zip(count(), lp, mp, np_, np_[1:] + (0,)):
+        # lam <=h nu, which makes lam weakly decreasing, and lam <=v mu
+        if not (l <= a <= pl and l <= m <= l + 1 and m <= above):
+            raise ShapeDatumError(f"need lam <=v mu and lam <=h nu: {lam}, {mu}, {nu}")
+        k = m if a < m else a
+        if m <= a < above:  # T = (i, a)
+            if not fifo:
+                t_rows.append(i)
+            elif head < len(s_rows):
+                s = s_rows[head]
+                head += 1
+                if a >= mp[s]:
+                    raise ShapeDatumError(
+                        f"matched square {(i, a)} not weakly left of {(s, mp[s] - 1)}")
+                k += lp[s] < mp[s]
+            else:
+                t_rows.append(i)
+        kappa.append(k)
+        if a >= m > b:  # S = (i, m - 1)
+            n_s += 1
+            if fifo:
+                s_rows.append(i)
+            else:
+                if not t_rows:
+                    raise ShapeDatumError(f"no match right of optional square {(i, m - 1)}")
+                t = t_rows.pop()
+                if t > i:
+                    raise ShapeDatumError(
+                        f"matched square {(t, np_[t])} not weakly above {(i, m - 1)}")
+                kappa[t] += l < m
+        pl, above = l, m
+    # past the strip relations only an unknown flavor fails: the checks
+    # below and the matching checks above hold on every strip-valid input
+    n_t = len(t_rows) + (head if fifo else n_s)
+    if n_t != n_s + 1:
+        raise ShapeDatumError(f"optional square sets of sizes {n_s}, {n_t} for {mu}, {nu}")
+    if not fifo and flavor != COL_INSERTION:
+        raise ValueError(f"unknown flavor: {flavor}")
+    if head < len(s_rows):
+        s = s_rows[head]
+        raise ShapeDatumError(f"no match below optional square {(s, mp[s] - 1)}")
+    if len(t_rows) != 1:
+        raise ShapeDatumError(f"matching left {len(t_rows)} unmatched squares")
     if bit:
-        new_cells.append(t0)
-    new_cells.sort(key=lambda t: t[1])
-    return _add_cells([b if a < b else a for a, b in zip(mp, np_)], new_cells)
+        kappa[t_rows[0]] += 1
+    while kappa and not kappa[-1]:
+        kappa.pop()
+    out = tuple(kappa)
+    if not _is_trimmed_partition(out):
+        raise ShapeDatumError(f"adding cells broke the partition: {out}")
+    return out
 
 
 def dual_forward(lam, mu, nu, bit: int, flavor: str) -> Partition:

@@ -1,8 +1,9 @@
 """Shared golden data: the running tableau, its encodings, and the
-matrices of the worked decomposition examples; and `outcome`, which the
-oracle comparisons use; `matrices`, the hypothesis strategy of small
-binary and integral matrices; `all_binary` and `all_integral`, every
-matrix of a box."""
+matrices of the worked decomposition examples; `until_none` and `climb`,
+move loops capped so that a move that changes nothing fails them;
+`outcome`, which the oracle comparisons use; `matrices`, the hypothesis
+strategy of small binary and integral matrices; `all_binary` and
+`all_integral`, every matrix of a box."""
 
 import itertools
 
@@ -137,6 +138,28 @@ def all_integral(h, w, cap):
 @pytest.fixture
 def running_tableau():
     return Tableau(SST, T_CHAIN)
+
+
+def until_none(step, m, cap):
+    """Apply step, which returns (matrix, record) or None, until it returns
+    None: (matrix, records).  More than cap steps fail, so a step that
+    changes nothing fails instead of looping."""
+    records = []
+    for _ in range(cap + 1):
+        res = step(m)
+        if res is None:
+            return m, records
+        m, rec = res
+        records.append(rec)
+    raise AssertionError((m.rows, f"more than {cap} moves"))
+
+
+def climb(mod, m, d, index):
+    """Apply moves until exhausted, returning (matrix, positions).  Each
+    move carries one unit of the matrix, so more moves than its entry sum
+    fail instead of looping."""
+    m, records = until_none(lambda x: mod.move(x, d, index), m, sum(map(sum, m.rows)))
+    return m, [rec.position if hasattr(rec, "position") else rec.at for rec in records]
 
 
 def outcome(fn, *args):

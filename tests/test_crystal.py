@@ -15,7 +15,7 @@ from doublecrystal.verify import (
     random_matrix,
 )
 
-from conftest import M2X9, M3X13, all_binary, all_integral
+from conftest import M2X9, M3X13, all_binary, all_integral, climb
 
 
 # The reference readings: the full bracket string of a pair and its unmatched
@@ -146,20 +146,6 @@ def integral_paren_profile(m: IntegralMatrix, axis: str, index: int):
     open_un = tuple(starts[step] + u for step, n in opens for u in range(n))
     close_un = tuple(starts[step] - n + u for step, n in closes for u in range(n))
     return "".join(sym), tuple(seps[:-1]), open_un, close_un
-
-
-def climb(mod, m, d, index):
-    """Apply moves until exhausted, returning (matrix, positions).  Each
-    move carries one unit of the matrix, so more moves than its entry sum
-    fail instead of looping."""
-    out = []
-    for _ in range(sum(map(sum, m.rows)) + 1):
-        res = mod.move(m, d, index)
-        if res is None:
-            return m, out
-        m, rec = res
-        out.append(rec.position if hasattr(rec, "position") else rec.at)
-    raise AssertionError((m.rows, d, index, "more moves than the matrix has units"))
 
 
 class TestBinary:

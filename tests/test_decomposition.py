@@ -31,6 +31,8 @@ from conftest import (
     Q_INT,
     all_binary,
     all_integral,
+    climb,
+    until_none,
 )
 
 
@@ -93,20 +95,18 @@ def test_order_independence():
         m = random_matrix(rng, binary, n, n)
         mod = cb if binary else ci
         canonical, _ = exhaust(m, (UP, LEFT))
+
+        def step(x):
+            choices = [(d, i) for d in (UP, LEFT) for i in range(4) if mod.potential(x, d, i) > 0]
+            return mod.move(x, *rng.choice(choices)) if choices else None
+
+        # an up move lowers the sum of i times row sum i by one and keeps
+        # the column sums; a left move does the same with rows and columns
+        # swapped, so this caps the moves of any order
+        cap = (sum(i * s for i, s in enumerate(m.row_sums()))
+               + sum(j * s for j, s in enumerate(m.col_sums())))
         for _ in range(5):
-            x = m
-            while True:
-                choices = [
-                    (d, i)
-                    for d in (UP, LEFT)
-                    for i in range(4)
-                    if mod.potential(x, d, i) > 0
-                ]
-                if not choices:
-                    break
-                d, i = rng.choice(choices)
-                x = mod.move(x, d, i)[0]
-            assert x == canonical
+            assert until_none(step, m, cap)[0] == canonical
 
 
 def test_submatrix_normalization():
@@ -120,18 +120,10 @@ def test_submatrix_normalization():
         progress = True
         while progress:
             progress = False
-            for i in range(k - 1):
-                while True:
-                    res = ci.move(x, UP, i)
-                    if res is None:
-                        break
-                    x, progress = res[0], True
-            for j in range(l - 1):
-                while True:
-                    res = ci.move(x, LEFT, j)
-                    if res is None:
-                        break
-                    x, progress = res[0], True
+            for d, n in ((UP, k - 1), (LEFT, l - 1)):
+                for i in range(n):
+                    x, moved = climb(ci, x, d, i)
+                    progress = progress or bool(moved)
         block = x.restrict((0, k), (0, l))
         sub = m.restrict((0, k), (0, l))
         assert block == exhaust(sub, (UP, LEFT))[0]
@@ -202,18 +194,10 @@ def test_submatrix_normalization_paper_instance():
     progress = True
     while progress:
         progress = False
-        for i in range(2):
-            while True:
-                res = ci.move(m, UP, i)
-                if res is None:
-                    break
-                m, progress = res[0], True
-        for j in range(5):
-            while True:
-                res = ci.move(m, LEFT, j)
-                if res is None:
-                    break
-                m, progress = res[0], True
+        for d, n in ((UP, 2), (LEFT, 5)):
+            for i in range(n):
+                m, moved = climb(ci, m, d, i)
+                progress = progress or bool(moved)
     assert m.restrict((0, 3), (0, 6)) == diagon((8, 4, 2))
     assert m == IntegralMatrix([
         [8, 0, 0, 0, 0, 0, 0],

@@ -15,7 +15,7 @@ from doublecrystal.growth import (
     SE,
     SW,
     ShapeDatumError,
-    _add_cells,
+    _h_le,
     _match_optional,
     _optional_squares,
     burge_backward,
@@ -50,7 +50,7 @@ from doublecrystal.shapes import (
 )
 from doublecrystal.verify import check_growth, random_matrix
 
-from conftest import M_BIN, M_INT, matrices, outcome
+from conftest import M_BIN, M_INT, climb, matrices, outcome
 
 
 def test_implicit_shape_examples():
@@ -115,6 +115,59 @@ def test_integral_data_roundtrip_exhaustive():
                 assert bwd(mu, nu, kappa) == (lam, m)
                 seen += 1
     assert seen == 1614
+
+
+# The integral rules before their one-pass form, kept as oracles: both
+# strip relations checked on the padded tuples before anything else, then
+# Burge's carry loop over a gain tuple and RSK's closed formula over the
+# row minima and maxima of mu and nu.
+
+
+def oracle_burge_forward(lam, mu, nu, m, with_trace=False):
+    lam, mu, nu = trim(lam), trim(mu), trim(nu)
+    if m < 0:
+        raise ShapeDatumError("entry must be nonnegative")
+    n = max(len(lam), len(mu), len(nu)) + 1
+    lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
+    if not (_h_le(lp, mp) and _h_le(lp, np_)):
+        raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
+    gain = tuple(p + q - l for l, p, q in zip(lp, mp, np_))
+    c = m
+    kappa = [0] * n
+    trace = []
+    for i in range(n - 1, 0, -1):
+        d = gain[i] + c
+        k = kappa[i] = min(d, lp[i - 1])
+        c = d - k
+        if trace or k != 0 or d != c:
+            trace.append((d, k, c))
+    kappa[0] = gain[0] + c
+    return (trim(kappa), tuple(trace)) if with_trace else trim(kappa)
+
+
+def oracle_rsk_forward(lam, mu, nu, m):
+    lam, mu, nu = trim(lam), trim(mu), trim(nu)
+    if m < 0:
+        raise ShapeDatumError("entry must be nonnegative")
+    n = max(len(lam), len(mu), len(nu)) + 1
+    lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
+    if not (_h_le(lp, mp) and _h_le(lp, np_)):
+        raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
+    lows = [min(a, b) for a, b in zip(mp, np_)]
+    tops = [max(a, b) for a, b in zip(mp, np_)]
+    # kappa_{i+1} = min(mu_i, nu_i) - lam_i + max(mu_{i+1}, nu_{i+1})
+    return trim((m + tops[0], *(lo - l + t for lo, l, t in zip(lows, lp, tops[1:]))))
+
+
+def test_integral_data_match_oracle():
+    # every triple of partitions up to size 5 and entry -1..2, with the
+    # message of each rejection and Burge's trace
+    for triple in itertools.product(partitions_up_to(5), repeat=3):
+        for m in range(-1, 3):
+            for with_trace in (False, True):
+                assert outcome(burge_forward, *triple, m, with_trace) == outcome(
+                    oracle_burge_forward, *triple, m, with_trace)
+            assert outcome(rsk_forward, *triple, m) == outcome(oracle_rsk_forward, *triple, m)
 
 
 def test_burge_forward_keeps_lam_strip():
@@ -230,18 +283,10 @@ def test_sliced_form():
     progress = True
     while progress:
         progress = False
-        for i in range(1, 5):
-            while True:
-                res = ci.move(m, UP, i)
-                if res is None:
-                    break
-                m, progress = res[0], True
-        for j in range(5):
-            while True:
-                res = ci.move(m, RIGHT, j)
-                if res is None:
-                    break
-                m, progress = res[0], True
+        for d, indices in ((UP, range(1, 5)), (RIGHT, range(5))):
+            for i in indices:
+                m, moved = climb(ci, m, d, i)
+                progress = progress or bool(moved)
     block = m.restrict((1, None), (0, 6))
     assert recognize_sliced(block, 1, 6) == (5, 5, 2, 1)
     assert implicit_shape(M_INT.restrict((1, None), (0, 6))) == (5, 5, 2, 1)
@@ -271,8 +316,22 @@ def test_dual_datum_dispatcher():
 
 
 # The literal binary shape datum, kept as an oracle: optional squares read
-# off the conjugates, a scan of T per square of S, and the obligatory
-# squares looked up cell by cell; _add_cells is shared.
+# off the conjugates, a scan of T per square of S, the obligatory squares
+# looked up cell by cell and the new cells added one at a time.
+
+
+def add_cells(base, cells):
+    rows = list(base) + [0] * 4
+    for i, j in cells:
+        while len(rows) <= i:
+            rows.append(0)
+        if rows[i] != j:
+            raise ShapeDatumError(f"cell {(i, j)} does not extend {trim(base)}")
+        rows[i] += 1
+    out = trim(rows)
+    if not is_partition(out):
+        raise ShapeDatumError(f"adding cells broke the partition: {out}")
+    return out
 
 
 def oracle_optional_squares(mu, nu):
@@ -350,7 +409,7 @@ def oracle_dual_forward(lam, mu, nu, bit, flavor):
     if bit:
         new_cells.append(t0)
     new_cells.sort(key=lambda t: t[1])
-    return _add_cells(join, new_cells)
+    return add_cells(join, new_cells)
 
 
 def oracle_dual_backward(mu, nu, kappa, flavor):
@@ -414,7 +473,7 @@ def test_dual_data_match_oracle():
              if strip_le(lam, mu, VERTICAL) and strip_le(lam, nu, HORIZONTAL)]
     small = list(itertools.product(partitions_up_to(4), repeat=3))
     for triple in valid + small:
-        for bit, flavor in itertools.product((0, 1, 2), FLAVORS):
+        for bit, flavor in itertools.product((0, 1, 2), FLAVORS + ("diagonal",)):
             assert outcome(dual_forward, *triple, bit, flavor) == outcome(
                 oracle_dual_forward, *triple, bit, flavor
             )
