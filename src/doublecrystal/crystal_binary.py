@@ -13,21 +13,23 @@ Successive raising moves flip the unmatched '(' from the left, successive
 lowering moves the unmatched ')' from the right, so `ladder` applies any
 number of them after one scan.
 
-The binary part is the scan, `_steps`: it reads the two lines directly
-(a row pair as stored, a column pair as two lists) and visits only their
-unequal bits, forward with a stack of '(' for raising moves and backward
-with a stack of ')' for lowering moves.  With it stay `MoveRecord`,
+The binary part is `_climb`, one scan and move per line pair: it takes
+the two lines as lists (a row pair as stored, a column pair read bottom to
+top), visits only their unequal bits, forward with a stack of '(' for
+raising moves and backward with a stack of ')' for lowering moves, and
+flips the first k bits left on the stack.  With it stay `MoveRecord`,
 `_records` and `interchangeable`, the literal one-move definition kept as
 an independent check.
 
-The ladder layer is written here once for both crystals: `_lines` reads
-the two lines of a pair (a column pair bottom to top for binary, top to
-bottom for integral), `_take` cuts a ladder to its first k units, `_shift`
-moves its units in place, and `_kernel` builds `potential`,
-`ladder_runs`, `ladder` and `move` of a mode module on the module's own
-`_runs`, `_units` and `_records` (binary `_units` counts the steps of the
-scan without building runs).  The reference reading, the full bracket string
-of a pair, lives in the tests, which compare it with the scan.
+The ladder API is written here once for both crystals: `_kernel` builds
+`potential`, `ladder_runs`, `ladder` and `move` of a mode module on the
+module's own `_climb`, `_units` and `_records`.  Each climbs the pair
+once: `potential` on copies of its lines, the others a row pair in place
+and a column pair as two lists written back.  `_climb_pair` climbs a pair
+of a list of line lists, growing it by the line the moves fill; the
+exhaustion sweep and `compose` call it directly on row lists.
+The reference reading, the full bracket string of a pair, lives in the
+tests, which compare it with the scan.
 """
 
 import sys
@@ -90,135 +92,111 @@ def interchangeable(m: BinaryMatrix, k: int, l: int, orientation: str) -> bool:
     raise ValueError(f"unknown orientation: {orientation}")
 
 
-def _lines(rows, d: str, index: int, upward: bool):
-    """The two lines of the pair at index in reading order, zero beyond
-    the stored rectangle: rows index, index+1 as stored (up, down), or
-    columns index, index+1 as lists (left, right), read bottom to top if
-    upward, else top to bottom."""
-    if index < 0:
-        raise ValueError(f"index must be nonnegative, got {index}")
-    h = len(rows)
-    if d in (UP, DOWN):
-        if index + 1 < h:
-            return rows[index], rows[index + 1]
-        zero = (0,) * (len(rows[0]) if rows else 0)
-        return rows[index] if index < h else zero, zero
-    j = index
-    w = len(rows[0]) if rows else 0
-    if upward:
-        rows = rows[::-1]
-    if j + 1 < w:
-        return [r[j] for r in rows], [r[j + 1] for r in rows]
-    return [r[j] for r in rows] if j < w else (0,) * h, (0,) * h
-
-
-def _steps(rows, d: str, index: int) -> list[int]:
-    """Columns (row pairs) or rows (column pairs) of the bits a full
-    d-ladder at index moves, in move order: one scan of the unequal bits,
-    forward keeping the unmatched '(' for raising moves, backward keeping
-    the unmatched ')' for lowering moves."""
-    if d not in DIRECTIONS:
-        raise ValueError(f"unknown direction: {d}")
-    a, b = _lines(rows, d, index, True)  # a column pair is read bottom to top
-    steps = []
-    if d in (UP, LEFT):
+def _climb(a: list, b: list, raising: bool, k: Optional[int] = None) -> list[int]:
+    """Climb the ladder of lines a, b (index, index+1 of a pair, in reading
+    order) in place: one scan of their unequal bits, forward keeping the
+    unmatched '(' for raising moves, backward keeping the unmatched ')'
+    for lowering moves, then the bits left on the stack, the first k of
+    them (all when k is None or exceeds them), are flipped.  Returns the
+    reading positions moved, in move order."""
+    stack = []
+    if raising:
         for p in compress(count(), map(ne, a, b)):
             if b[p]:
-                steps.append(p)
-            elif steps:
-                steps.pop()
+                stack.append(p)
+            elif stack:
+                stack.pop()
     else:
         for p in compress(count(len(a) - 1, -1), map(ne, reversed(a), reversed(b))):
             if a[p]:
-                steps.append(p)
-            elif steps:
-                steps.pop()
-    if d in (LEFT, RIGHT):
-        last = len(rows) - 1
-        return [last - p for p in steps]
-    return steps
+                stack.append(p)
+            elif stack:
+                stack.pop()
+    if k is not None:
+        del stack[k:]
+    for p in stack:
+        a[p], b[p] = b[p], a[p]
+    return stack
 
 
-def _take(runs: list, k: int) -> list:
-    """The (at, n) runs of the first k units of a ladder."""
-    total = sum(n for _, n in runs)
-    if not 0 <= k <= total:
-        raise ValueError(f"cannot apply {k} moves: the potential is {total}")
-    out = []
-    for at, n in runs:
-        if k <= 0:
-            break
-        out.append((at, min(n, k)))
-        k -= n
-    return out
+_units = len  # one unit per position moved
 
 
-def _shift(rows: list, d: str, index: int, runs: list) -> None:
-    """Move n units per (at, n) run (at: the column of a row pair, the row
-    of a column pair) between lines index and index+1 in direction d, in
-    place, zero-padding the rows to the cells filled."""
-    if not runs:
-        return
-    if d in (UP, DOWN):
-        if d == DOWN and len(rows) == index + 1:
-            rows.append([0] * len(rows[0]))
-        src, dst = (rows[index + 1], rows[index]) if d == UP else (rows[index], rows[index + 1])
-        for at, n in runs:
-            src[at] -= n
-            dst[at] += n
-        return
-    if d == RIGHT:
-        for r in rows:
-            r.extend([0] * (index + 2 - len(r)))
-    src, dst = (index + 1, index) if d == LEFT else (index, index + 1)
-    for at, n in runs:
-        r = rows[at]
-        r[src] -= n
-        r[dst] += n
-
-
-def _runs(rows, d: str, index: int) -> list[tuple[int, int]]:
-    """`_steps` as (at, 1) runs, the form `_shift` takes."""
-    return [(at, 1) for at in _steps(rows, d, index)]
-
-
-def _units(rows, d: str, index: int) -> int:
-    """The units a full d-ladder at index moves: one per step."""
-    return len(_steps(rows, d, index))
-
-
-def _records(d: str, index: int, runs: list) -> list[MoveRecord]:
-    """One record per move: the cell of the bit '1' before it."""
+def _records(d: str, index: int, moved: list, h: int) -> list[MoveRecord]:
+    """One record per move: the cell of the bit '1' before it.  A column
+    pair is read bottom to top, so position p of it is row h - 1 - p."""
     if d == UP:
-        return [MoveRecord(d, index, (index + 1, at)) for at, _ in runs]
+        return [MoveRecord(d, index, (index + 1, at)) for at in moved]
     if d == DOWN:
-        return [MoveRecord(d, index, (index, at)) for at, _ in runs]
+        return [MoveRecord(d, index, (index, at)) for at in moved]
     if d == LEFT:
-        return [MoveRecord(d, index, (at, index + 1)) for at, _ in runs]
-    return [MoveRecord(d, index, (at, index)) for at, _ in runs]
+        return [MoveRecord(d, index, (h - 1 - p, index + 1)) for p in moved]
+    return [MoveRecord(d, index, (h - 1 - p, index)) for p in moved]
 
 
-def _kernel(mode, matrix_class):
-    """`potential`, `ladder_runs`, `ladder` and `move` of a mode module:
-    its `_runs` gives a full ladder's (at, n) runs in move order (at: the
-    column of a row pair, the row of a column pair), its `_units` their
-    total units from the same scan, its `_records` one record per unit.
-    They, `_take` and `_shift` are read from the module at each call."""
+def _climb_pair(climb, lines: list, index: int, raising: bool, k: Optional[int] = None) -> list:
+    """`climb` the pair at index of a list of line lists in place, zero
+    beyond the stored lines: a second line beyond them is appended only
+    when the climb fills it.  Returns what `climb` moved."""
+    if index + 1 < len(lines):
+        return climb(lines[index], lines[index + 1], raising, k)
+    if index + 1 > len(lines):
+        return []
+    b = [0] * len(lines[index])
+    moved = climb(lines[index], b, raising, k)
+    if moved:
+        lines.append(b)
+    return moved
+
+
+def _kernel(mode, matrix_class, upward: bool):
+    """`potential`, `ladder_runs`, `ladder` and `move` of a mode module, on
+    its `_climb`, `_units` (the units of what `_climb` moved) and
+    `_records`, read from the module at each call.  upward: a column pair
+    is read bottom to top, else top to bottom."""
+
+    def lines(rows, d: str, index: int) -> tuple[list, list]:
+        """Copies of the two lines of the pair at index in reading order,
+        zero beyond the stored rectangle."""
+        if d not in DIRECTIONS:
+            raise ValueError(f"unknown direction: {d}")
+        if index < 0:
+            raise ValueError(f"index must be nonnegative, got {index}")
+        h = len(rows)
+        w = len(rows[0]) if rows else 0
+        if d in (UP, DOWN):
+            zero = (0,) * w
+            return list(rows[index] if index < h else zero), list(
+                rows[index + 1] if index + 1 < h else zero)
+        if upward:
+            rows = rows[::-1]
+        return ([r[index] for r in rows] if index < w else [0] * h,
+                [r[index + 1] for r in rows] if index + 1 < w else [0] * h)
 
     def potential(m, d: str, index: int) -> int:
         """Number of moves that can be applied successively in direction d
         between lines index and index+1: the unmatched brackets of the
         pair that its moves flip."""
-        return mode._units(m.rows, d, index)
+        return mode._units(mode._climb(*lines(m.rows, d, index), d in (UP, LEFT)))
 
     def ladder_runs(rows: list, d: str, index: int, k: Optional[int] = None) -> list:
-        """`ladder` in place on a list of row lists; returns the (at, n)
-        runs moved in move order."""
-        runs = mode._runs(rows, d, index)
-        if k is not None:
-            runs = mode._take(runs, k)
-        mode._shift(rows, d, index, runs)
-        return runs
+        """Climb the first k units (all when k is None or exceeds them) of
+        the d-ladder at index in place on a list of row lists (a column
+        pair as two lists written back); the rows grow only to the cells
+        the moves fill.  Returns what `_climb` moved, positions in the
+        pair's reading order."""
+        if d in (UP, DOWN) and index >= 0:
+            return _climb_pair(mode._climb, rows, index, d == UP, k)
+        a, b = lines(rows, d, index)  # raises on a bad direction or index
+        moved = mode._climb(a, b, d == LEFT, k)
+        if moved:
+            if index + 1 == len(rows[0]):
+                for r in rows:
+                    r.append(0)
+            for r, x, y in zip(rows[::-1] if upward else rows, a, b):
+                r[index] = x
+                r[index + 1] = y
+        return moved
 
     def ladder(m, d: str, index: int, k: Optional[int] = None) -> tuple:
         """Apply the first k moves (None: the whole potential) in direction
@@ -229,22 +207,24 @@ def _kernel(mode, matrix_class):
         is ladder(m, d, index, k=1).  Raises ValueError when k exceeds the
         potential or index is negative.
         """
+        if k is not None and k < 0:
+            raise ValueError(f"cannot apply {k} moves: the potential is {potential(m, d, index)}")
         rows = [list(r) for r in m.rows]
-        runs = ladder_runs(rows, d, index, k)
-        return matrix_class._from_lists(rows), tuple(mode._records(d, index, runs))
+        moved = ladder_runs(rows, d, index, k)
+        if k is not None and mode._units(moved) < k:
+            raise ValueError(f"cannot apply {k} moves: the potential is {mode._units(moved)}")
+        return matrix_class._from_lists(rows), tuple(mode._records(d, index, moved, len(rows)))
 
     def move(m, d: str, index: int) -> Optional[tuple]:
         """Apply one move in direction d between lines index and index+1;
         None when none is possible."""
-        runs = mode._runs(m.rows, d, index)
-        if not runs:
-            return None
-        runs = mode._take(runs, 1)
         rows = [list(r) for r in m.rows]
-        mode._shift(rows, d, index, runs)
-        return matrix_class._from_lists(rows), mode._records(d, index, runs)[0]
+        moved = ladder_runs(rows, d, index, 1)
+        if not moved:
+            return None
+        return matrix_class._from_lists(rows), mode._records(d, index, moved, len(rows))[0]
 
     return potential, ladder_runs, ladder, move
 
 
-potential, ladder_runs, ladder, move = _kernel(sys.modules[__name__], BinaryMatrix)
+potential, ladder_runs, ladder, move = _kernel(sys.modules[__name__], BinaryMatrix, True)

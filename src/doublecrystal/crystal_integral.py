@@ -10,24 +10,25 @@ index that many '('.  Raising transfers (up, left) flip the unmatched ')'
 from the right, lowering transfers the unmatched '(' from the left, so
 `ladder` applies any number of them after one scan.
 
-The integral part is the scan, `_runs`: it reads the two lines directly
-(a row pair as stored, a column pair as two lists) and keeps one counter
-of unmatched brackets, forward for raising transfers and backward for
-lowering ones.  With it stay `TransferRecord`, `_records` and
-`transfer_legal`, the literal definition kept as an independent check.
-`potential`, `ladder_runs`, `ladder` and `move` are the ladder layer of
-`crystal_binary`, built on this module's `_runs`, `_units` and
-`_records`.  The reference reading, the full bracket string of a pair,
-lives in the tests, which compare it with the scan.
+The integral part is `_climb`, one scan and move per line pair: it takes
+the two lines as lists (a row pair as stored, a column pair read top to
+bottom), keeps one counter of unmatched brackets, forward for raising
+transfers and backward for lowering ones, and moves each run as the scan
+finds it, or the first k units after the scan.  With it stay
+`TransferRecord`, `_records` and `transfer_legal`, the literal definition
+kept as an independent check.  `potential`, `ladder_runs`, `ladder` and
+`move` are the ladder API of `crystal_binary`, built on this module's
+`_climb`, `_units` and `_records`.  The reference reading, the full
+bracket string of a pair, lives in the tests, which compare it with the
+scan.
 """
 
 import sys
 from itertools import count
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-# the ladder layer reads _take and _shift from this module at each call
-from .crystal_binary import DIRECTIONS, LEFT, UP, _kernel, _lines, _shift, _take
+from .crystal_binary import _kernel
 from .matrices import IntegralMatrix
 
 ROWS = "rows"
@@ -73,44 +74,62 @@ def transfer_legal(m: IntegralMatrix, axis: str, pair: int, at: int, amount: int
     return True
 
 
-def _runs(rows, d: str, index: int) -> list:
-    """(column or row, units) of the transfers a full d-ladder at index
-    makes, in move order, from one counter scan of the pair (line index
-    holds each step's '(' count, line index+1 its ')' count): raising
-    moves take the unmatched ')' from the right, found forward, lowering
-    moves the unmatched '(' from the left, found backward.  A ')' matches
-    any unmatched '(' before it, so the scan keeps only their number, the
-    depth."""
-    if d not in DIRECTIONS:
-        raise ValueError(f"unknown direction: {d}")
-    a, b = _lines(rows, d, index, False)  # a column pair is read top to bottom
-    runs, depth = [], 0
-    if d in (UP, LEFT):
+def _climb(a: list, b: list, raising: bool, k: Optional[int] = None) -> list:
+    """Climb the ladder of lines a, b (index, index+1 of a pair, in reading
+    order) in place, from one counter scan (line a holds each step's '('
+    count, line b its ')' count): raising moves take the unmatched ')'
+    from the right, found forward, lowering moves the unmatched '(' from
+    the left, found backward.  A ')' matches any unmatched '(' before it,
+    so the scan keeps only their number, the depth.  When k is None each
+    run moves as the scan finds it; else the first k units (all when k
+    exceeds them) move after it.  Returns the (at, n) runs moved, in move
+    order."""
+    runs, depth, now = [], 0, k is None
+    if raising:
         for at, o, c in zip(count(), a, b):
             if c > depth:
                 runs.append((at, c - depth))
+                if now:
+                    a[at] = o + c - depth
+                    b[at] = depth
                 depth = o
             else:
                 depth += o - c
+        src, dst = b, a
     else:
         for at, o, c in zip(count(len(a) - 1, -1), reversed(a), reversed(b)):
             if o > depth:
                 runs.append((at, o - depth))
+                if now:
+                    a[at] = depth
+                    b[at] = c + o - depth
                 depth = c
             else:
                 depth += c - o
+        src, dst = a, b
     runs.reverse()
-    return runs
+    if now:
+        return runs
+    out = []
+    for at, n in runs:
+        if k <= 0:
+            break
+        n = min(n, k)
+        out.append((at, n))
+        src[at] -= n
+        dst[at] += n
+        k -= n
+    return out
 
 
-def _units(rows, d: str, index: int) -> int:
-    """The units a full d-ladder at index transfers: the sum of its runs."""
-    return sum(map(itemgetter(1), _runs(rows, d, index)))
+def _units(runs: list) -> int:
+    """The units of (at, n) runs."""
+    return sum(map(itemgetter(1), runs))
 
 
-def _records(d: str, index: int, runs: list) -> list[TransferRecord]:
-    """One record per unit transferred."""
+def _records(d: str, index: int, runs: list, h: int) -> list[TransferRecord]:
+    """One record per unit transferred (h, the height, plays no role)."""
     return [TransferRecord(d, index, at) for at, n in runs for _ in range(n)]
 
 
-potential, ladder_runs, ladder, move = _kernel(sys.modules[__name__], IntegralMatrix)
+potential, ladder_runs, ladder, move = _kernel(sys.modules[__name__], IntegralMatrix, False)

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import crystal_binary as cb
 from . import crystal_integral as ci
-from .crystal_binary import DOWN, LEFT, RIGHT, UP
+from .crystal_binary import DOWN, LEFT, RIGHT, UP, _climb_pair
 from .matrices import Matrix, diagon, diagram
 from .shapes import Partition, conjugate, is_partition, trim
 
@@ -82,8 +82,10 @@ def exhaust(m: Matrix, directions, bound: Optional[int] = None):
     ops = _ops(m)
     out, ladders = _sweep(m, directions, bound)
     records = []
-    for d, index, runs in ladders:
-        records += ops._records(d, index, runs)
+    for d, index, moved in ladders:
+        # left and right moves do not change the height, so out.height is
+        # the height at which the sweep read the column pairs
+        records += ops._records(d, index, moved, out.height)
     return out, tuple(records)
 
 
@@ -99,38 +101,34 @@ def _sweep(m: Matrix, directions, bound: Optional[int] = None):
     starts with indices 0..top-1 exhausted; once the ladder at index i
     does not move, lines 0..i are as the pass found them, so indices below
     i cannot move and the pass stops: at most (ladders climbed + limit)
-    scans.  Returns (matrix, [(direction, index, runs), ...]) per ladder
-    that moved, in climb order, runs as `ladder_runs` returns them.
+    scans.  Returns (matrix, [(direction, index, moved), ...]) per ladder
+    that moved, in climb order, moved as the mode's `_climb` returns it.
 
-    Left and right ladders climb the row pairs of a transposed copy, as
-    up and down ladders: a column pair read from row lists costs two
-    index lookups per row, a row pair none.  Its lines are the columns in
-    reading order, bottom to top for binary (so run position p is row
-    h - 1 - p, h the height when the copy is made: a bounded down sweep
-    before it may have added rows), top to bottom for integral.  A matrix
-    with rows but no columns has no copy to make and keeps the column
-    pairs.
+    Every ladder is one `_climb` of two row lists: of the matrix for up
+    and down ladders, of a transposed copy for left and right ones (a
+    column pair read from row lists costs two index lookups per row, a row
+    pair none).  The copy's lines are the columns in reading order, bottom
+    to top for binary (so binary position p is row h - 1 - p, h the height
+    when the copy is made: a bounded down sweep before it may have added
+    rows), top to bottom for integral.  A matrix without columns has no
+    column pair that can move.
     """
     directions = _directions(directions, bound)
-    ops = _ops(m)
+    climb = _ops(m)._climb
     rows = [list(r) for r in m.rows]
     ladders = []
     for d in directions:
-        across = d in (LEFT, RIGHT) and bool(rows and rows[0])
-        if across:
-            h = len(rows)
-            lines = [list(c) for c in zip(*(reversed(rows) if m.binary else rows))]
-            sense = UP if d == LEFT else DOWN
-        else:
-            lines, sense = rows, d
+        across = d in (LEFT, RIGHT)
+        if across and not (rows and rows[0]):
+            continue
+        lines = [list(c) for c in zip(*(reversed(rows) if m.binary else rows))] if across else rows
+        raising = d in (UP, LEFT)
         for top in range(_index_limit(m, d, bound)):
             for index in range(top, -1, -1):
-                runs = ops.ladder_runs(lines, sense, index)
-                if not runs:
+                moved = _climb_pair(climb, lines, index, raising)
+                if not moved:
                     break
-                if across and m.binary:
-                    runs = [(h - 1 - at, n) for at, n in runs]
-                ladders.append((d, index, runs))
+                ladders.append((d, index, moved))
         if across:
             rows = [list(r) for r in zip(*lines)]
             if m.binary:
@@ -173,8 +171,11 @@ def compose(p: Matrix, q: Matrix) -> Matrix:
     for i in range(p.height):
         if ops.potential(p, UP, i) != 0:
             raise ComposeError(f"P admits an upward move at index {i}")
-    for j in range(q.width):
-        if ops.potential(q, LEFT, j) != 0:
+    # Q's left potentials are the up potentials of its transposed copy (rows
+    # reversed first for binary); a climb that moves nothing leaves it as is
+    lines = [list(c) for c in zip(*(reversed(q.rows) if q.binary else q.rows))]
+    for j in range(len(lines) - 1):
+        if ops._climb(lines[j], lines[j + 1], True):
             raise ComposeError(f"Q admits a leftward move at index {j}")
     rp = p.row_sums()
     cq = q.col_sums()
@@ -185,8 +186,8 @@ def compose(p: Matrix, q: Matrix) -> Matrix:
         raise ComposeError("need rsum(P) = csum(Q)")
     _, ladders = _sweep(q, (UP,))
     rows = [list(r) for r in p.rows]
-    for _, index, runs in reversed(ladders):
-        ops.ladder_runs(rows, DOWN, index, sum(n for _, n in runs))
+    for _, index, moved in reversed(ladders):
+        _climb_pair(ops._climb, rows, index, False, ops._units(moved))
     return type(p)._from_lists(rows)
 
 

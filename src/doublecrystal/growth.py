@@ -282,11 +282,8 @@ def _dual(lam, mu, nu, bit: int, flavor: str) -> Partition:
             else:
                 if not t_rows:
                     raise ShapeDatumError(f"no match right of optional square {(i, m - 1)}")
-                t = t_rows.pop()
-                if t > i:
-                    raise ShapeDatumError(
-                        f"matched square {(t, np_[t])} not weakly above {(i, m - 1)}")
-                kappa[t] += l < m
+                # the stack holds rows up to i only: T is weakly above S
+                kappa[t_rows.pop()] += l < m
         pl, above = l, m
     # past the strip relations only an unknown flavor fails: the checks
     # below and the matching checks above hold on every strip-valid input

@@ -181,18 +181,29 @@ def test_verify_cli(capsys, monkeypatch):
     assert "moves: PASS" in out and "roundtrip: PASS" in out
 
 
+def _last_first(a, b, raising, k=None, climb=cb._climb):
+    """Binary `_climb` with raising moves taking the last unmatched bracket
+    first."""
+    moved = climb(list(a), list(b), raising)
+    if raising:
+        moved.reverse()
+    if k is not None:
+        del moved[k:]
+    for p in moved:
+        a[p], b[p] = b[p], a[p]
+    return moved
+
+
 # one fault per suite in the code it checks; each default argument keeps
 # the function the fault wraps
 FAULTS = [
-    ("moves", cb, "_take",  # a single move takes two units
-     lambda runs, k, take=cb._take: take(runs, k if k is None else min(k + 1, len(runs)))),
+    ("moves", cb, "_climb",  # a single move takes two units
+     lambda a, b, raising, k=None, climb=cb._climb: climb(a, b, raising, k if k is None else k + 1)),
     ("potentials", ci, "potential",
      lambda m, d, index, pot=ci.potential: pot(m, d, index) + (d == "up")),
-    ("commutation", cb, "_steps",  # left moves take the last unmatched bracket first
-     lambda rows, d, index, steps=cb._steps: steps(rows, d, index)[::-1 if d == "left" else 1]),
-    ("roundtrip", ci, "_shift",  # down ladders move one unit short
-     lambda rows, d, index, runs, shift=ci._shift:
-         shift(rows, d, index, [(at, n - (d == "down")) for at, n in runs])),
+    ("commutation", cb, "_climb", _last_first),
+    ("roundtrip", ci, "_climb",  # lowering ladders cut to k units move one unit short
+     lambda a, b, raising, k=None, climb=ci._climb: climb(a, b, raising, k if raising or not k else k - 1)),
     ("oracles", insertion, "_column_insert_one",
      lambda cols, x, ge=True, insert=insertion._column_insert_one: insert(cols, x, not ge)),
     ("growth", growth, "_burge",  # entries of 2 and more count as 1

@@ -66,7 +66,7 @@ def binary_paren_profile(m: BinaryMatrix, orientation: str, index: int):
     '(' marks a pair movable by the raising move of the orientation, ')'
     by the lowering move, '-' anything else.  Returns (string, unmatched
     open positions, unmatched close positions).  This is the reference
-    reading: it shares no code with `_steps`, the scan moves run on.
+    reading: it shares no code with `_climb`, the scan moves run on.
     """
     pairs = _pairs(m.rows, orientation, index)
     opens, closes = _match(pairs)
@@ -132,7 +132,7 @@ def integral_paren_profile(m: IntegralMatrix, axis: str, index: int):
     the right.  Unmatched ')' count the up potential, unmatched '(' the
     down potential.  Returns (string, column separator positions,
     unmatched '(' positions, unmatched ')' positions).  This is the
-    reference reading: it shares no code with `_runs`, the scan transfers
+    reference reading: it shares no code with `_climb`, the scan transfers
     run on.
     """
     units = _units(m.rows, axis, index)
