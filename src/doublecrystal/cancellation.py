@@ -12,7 +12,18 @@ Either failure raises BoxTooSmall.
 
 The brute stage sums f * g over every matrix in the box, grouped by margin
 pair: for each pair of compositions with nonzero edge symbols it multiplies
-the symbols by the number of matrices with those row and column sums.
+the symbols by the number of matrices with those row and column sums.  The
+nonzero symbols are listed directly (`_symbol_support`): a backtracking
+search arranges the staircase-shifted target values over the positions,
+with no scan over the compositions of n.
+
+A margin count does not change when rows or columns are permuted, and a
+skew Kostka number does not change when the content is permuted; zero
+parts carry nothing either.  So `_kostka` and `_margin_count` fill their
+caches keyed by the sorted nonzero parts, and the stages sum the symbols of
+the compositions sharing those parts before they count (`_content_support`).
+tab_first and lr_first weight the symbols by Kostka numbers instead of
+margin counts.
 
 `lr_count`, which is also the fully_reduced stage, is the pruned
 Littlewood-Richardson filling search on plain ints: it builds no matrix.
@@ -109,7 +120,6 @@ def _hstrips_above(p, t, cap):
         yield trim(q)
 
 
-@lru_cache(maxsize=None)
 def _chains(inner, outer, weights) -> tuple:
     """All chains inner <=h ... <=h outer with the given strip sizes."""
     layer = [(inner, (inner,))]
@@ -122,9 +132,26 @@ def _chains(inner, outer, weights) -> tuple:
     return tuple(chain for p, chain in layer if p == outer)
 
 
+def _sorted_parts(parts) -> tuple:
+    """The nonzero parts, largest first: the cache key of a count that
+    neither the order of the parts nor a zero part changes."""
+    return tuple(sorted(filter(None, parts), reverse=True))
+
+
 @lru_cache(maxsize=None)
 def _kostka(inner, outer, weights) -> int:
-    """Number of chains inner <=h ... <=h outer with the given strip sizes."""
+    """Number of chains inner <=h ... <=h outer with the given strip sizes.
+
+    Skew Kostka numbers are symmetric in the content and a zero strip is an
+    identity step, so the chains are counted once per key of nonzero sizes
+    sorted largest first (`_kostka_sorted`); the cache on the arguments as
+    given makes a repeated call one lookup.
+    """
+    return _kostka_sorted(inner, outer, _sorted_parts(weights))
+
+
+@lru_cache(maxsize=None)
+def _kostka_sorted(inner, outer, weights) -> int:
     layer = {inner: 1}
     for t in weights:
         nxt = {}
@@ -135,26 +162,62 @@ def _kostka(inner, outer, weights) -> int:
     return layer.get(outer, 0)
 
 
-def _compositions(n, k):
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+def _symbol_support(base, target, n, slots):
+    """[(composition alpha of n in `slots` slots, edge_symbol(base+alpha, target))]
+    keeping only nonzero symbols, alpha in decreasing lexicographic order.
+
+    The symbol is nonzero exactly when beta_i = base_i + alpha_i - i, over
+    the positions i < max(slots, l(base), l(target)), is an arrangement of
+    the shifted target values target_j - j; its sign is the parity of the
+    arrangement's inversions.  The arrangements are listed by backtracking
+    over the positions, each taking an unused value with 0 <= alpha_i <= the
+    budget left (alpha_i = 0 past the slots), largest alpha_i first.
+    """
+    target = trim(target)
+    if not is_partition(target):
+        raise ValueError(f"not a partition: {target}")
+    size = max(slots, len(base), len(target))
+    values = [part(target, j) - j for j in range(size)]  # strictly decreasing
+    floor = [part(base, i) - i for i in range(size)]  # beta_i at alpha_i = 0
+    used = [False] * size
+    alpha = [0] * slots
+    out = []
+
+    def place(i, budget, inv):
+        if i == size:
+            if budget == 0:
+                out.append((trim(alpha), -1 if inv % 2 else 1))
+            return
+        lo = floor[i]
+        hi = lo + budget if i < slots else lo
+        later = i  # used values right of j: the inversions taking j adds
+        for j, v in enumerate(values):
+            if used[j]:
+                later -= 1
+            elif v < lo:
+                break
+            elif v <= hi:
+                used[j] = True
+                if i < slots:
+                    alpha[i] = v - lo
+                place(i + 1, budget - (v - lo), inv + later)
+                used[j] = False
+
+    place(0, n, 0)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _symbol_support(base, target, n, slots):
-    """[(composition alpha of n in `slots` slots, edge_symbol(base+alpha, target))]
-    keeping only nonzero symbols."""
-    out = []
-    for alpha in _compositions(n, slots):
-        s = edge_symbol(add(base, alpha), target)
-        if s:
-            out.append((trim(alpha), s))
-    return tuple(out)
+def _content_support(base, target, n, slots):
+    """_symbol_support with the symbols of the compositions that share
+    their sorted nonzero parts summed: ((parts, summed symbol), ...) in
+    first appearance, zero sums dropped.  The Kostka numbers and margin
+    counts the stages weight by the symbols depend only on those parts."""
+    sums = {}
+    for alpha, s in _symbol_support(base, target, n, slots):
+        key = _sorted_parts(alpha)
+        sums[key] = sums.get(key, 0) + s
+    return tuple((key, s) for key, s in sums.items() if s)
 
 
 def _spread(r, cols, cap):
@@ -175,20 +238,28 @@ def _margin_count(mode, rs, cs):
     for binary (the Gale-Ryser setting), any nonnegative entries for
     integral (contingency tables).
 
-    Fills row by row; the recursive calls key on the remaining rows and the
-    sorted remaining column sums, since permuting columns keeps the count.
+    Permuting rows or columns keeps the count, and a zero line holds no
+    entry, so the matrices are counted once per key of the nonzero row sums
+    and the nonzero column sums, each sorted largest first (`_margin_fill`,
+    whose recursion keys the rows left and the column sums left the same
+    way); the cache on the arguments as given makes a repeated call one
+    lookup.
     """
     if sum(rs) != sum(cs):
         return 0
-    rs = tuple(x for x in rs if x)
+    return _margin_fill(mode, _sorted_parts(rs), _sorted_parts(cs))
+
+
+@lru_cache(maxsize=None)
+def _margin_fill(mode, rs, cs):
+    """_margin_count of sorted nonzero sums of equal totals: every filling
+    of the first row, each followed by the count of the rest."""
     if not rs:
         return 1
-    cols = tuple(x for x in cs if x)
     cap = 1 if mode == BINARY else rs[0]
     total = 0
-    for row in _spread(rs[0], cols, cap):
-        rest = tuple(sorted(c - x for c, x in zip(cols, row) if c > x))
-        total += _margin_count(mode, rs[1:], rest)
+    for row in _spread(rs[0], cs, cap):
+        total += _margin_fill(mode, rs[1:], _sorted_parts(c - x for c, x in zip(cs, row)))
     return total
 
 
@@ -278,8 +349,8 @@ def _stage_value(shape1, shape2, stage, mode, box):
         g_base, g_target = mu, nu  # on column sums
         f_slots, g_slots = h, w
     if stage == BRUTE:
-        f_sup = _symbol_support(f_base, f_target, n, f_slots)
-        g_sup = _symbol_support(g_base, g_target, n, g_slots)
+        f_sup = _content_support(f_base, f_target, n, f_slots)
+        g_sup = _content_support(g_base, g_target, n, g_slots)
         total = 0
         for a1, s1 in f_sup:
             for a2, s2 in g_sup:
@@ -291,29 +362,26 @@ def _stage_value(shape1, shape2, stage, mode, box):
         if mode == BINARY:
             if part(lam, 0) > w:
                 return 0
-            sup = _symbol_support(mu, nu, n, h)
-            return sum(s * _kostka(kap, lam, alpha + (0,) * (h - len(alpha))) for alpha, s in sup)
-        if len(lam) > h:
+            sup = _content_support(mu, nu, n, h)
+        elif len(lam) > h:
             return 0
-        sup = _symbol_support(mu, nu, n, w)
-        return sum(s * _kostka(kap, lam, alpha + (0,) * (w - len(alpha))) for alpha, s in sup)
+        else:
+            sup = _content_support(mu, nu, n, w)
+        return sum(s * _kostka(kap, lam, alpha) for alpha, s in sup)
     if stage == LR_FIRST:
         # sum of the tableau-side symbol over LR-condition matrices in the box
         if mode == BINARY:
             if len(nu) > h:
                 return 0
             # BL members rotate to encodings of tableaux of the conjugate
-            # shape, with the column sums reversed into the w slots
-            sup = _symbol_support(conjugate(kap), conjugate(lam), n, w)
-            total = 0
-            for alpha, s in sup:
-                wts = tuple(part(alpha, w - 1 - i) for i in range(w))
-                total += s * _kostka(conjugate(mu), conjugate(nu), wts)
-            return total
+            # shape, with the column sums reversed into the w slots (the
+            # Kostka number does not see the order)
+            sup = _content_support(conjugate(kap), conjugate(lam), n, w)
+            return sum(s * _kostka(conjugate(mu), conjugate(nu), alpha) for alpha, s in sup)
         if len(nu) > w:
             return 0
-        sup = _symbol_support(kap, lam, n, h)
-        return sum(s * _kostka(mu, nu, alpha + (0,) * (h - len(alpha))) for alpha, s in sup)
+        sup = _content_support(kap, lam, n, h)
+        return sum(s * _kostka(mu, nu, alpha) for alpha, s in sup)
     if stage == FULLY_REDUCED:
         if mode == BINARY:
             if part(lam, 0) > w or len(nu) > h:

@@ -12,9 +12,12 @@ from doublecrystal.cancellation import (
     TAB_FIRST,
     BoxTooSmall,
     NotCancellable,
+    _chains,
+    _kostka,
     _least_box,
     _margin_count,
     _stage_value,
+    _symbol_support,
     alternating_sum,
     edge_symbol,
     involution,
@@ -33,7 +36,14 @@ from doublecrystal.matrices import (
     condition,
     diagram,
 )
-from doublecrystal.shapes import SkewShape, add, conjugate, partitions_up_to, trim
+from doublecrystal.shapes import (
+    SkewShape,
+    add,
+    conjugate,
+    partitions_up_to,
+    subpartitions,
+    trim,
+)
 from doublecrystal.verify import check_involution_pairing, check_stage_agreement, skew_shapes
 
 from conftest import all_binary, all_integral
@@ -119,6 +129,55 @@ def test_stages_match_naive_enumeration():
                 assert _stage_value(s1, s2, stage, mode, (4, 4)) == naive_stage(
                     s1, s2, stage, mode, (4, 4)
                 ), (str(s1), str(s2), mode, stage)
+
+
+def oracle_compositions(n, k):
+    """Compositions of n into k parts, the first part largest first."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n, -1, -1):
+        for rest in oracle_compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def oracle_symbol_support(base, target, n, slots):
+    """_symbol_support by its definition: the edge symbol of base + alpha
+    for every composition alpha of n into `slots` parts, nonzero ones kept."""
+    out = []
+    for alpha in oracle_compositions(n, slots):
+        s = edge_symbol(add(base, alpha), target)
+        if s:
+            out.append((trim(alpha), s))
+    return tuple(out)
+
+
+def test_symbol_support_matches_the_composition_scan():
+    # slots below l(target) and below l(base) included; a total one above
+    # the weight has no arrangement
+    seen = 0
+    for target in partitions_up_to(6):
+        for base in subpartitions(target):
+            n = sum(target) - sum(base)
+            for slots in range(1, 8):
+                for total in (n, n + 1):
+                    want = oracle_symbol_support(base, target, total, slots)
+                    assert _symbol_support(base, target, total, slots) == want, (
+                        base, target, total, slots)
+                    seen += bool(want)
+    assert seen > 1000
+
+
+def test_kostka_is_the_chain_count_in_any_order():
+    # the cache key sorts the strip sizes and drops zeros; the chain list
+    # takes them in the order given
+    for shape in skew_shapes(6):
+        n = shape.weight
+        for k in range(1, 5):
+            for w in oracle_compositions(n, k):
+                assert _kostka(shape.inner, shape.outer, w) == len(
+                    _chains(shape.inner, shape.outer, w)), (str(shape), w)
 
 
 def naive_margin_counts(mode, h, w, n):
@@ -212,15 +271,20 @@ def test_lr_count_matches_the_tableau_oracle():
     ("6,6,3,2/2,1", "7,4,4,2/2,1", 4),
     ("5,4,4,3,3/2,1,1", "6,4,4,3,2/2,2", 9),
     ("6,5,4,3,2,1/3,2,1", "6,5,4,3,2,1/3,2,1", 1112),
+    # narrow least binary boxes: (9, 2) and (3, 9)
+    ("2,2,2,2,2,2,1,1/1,1", "3,2,2,2,2,1,1,1,1/2,1", 3),
+    ("9,4,1,1/3,1", "8,4,3/3,1", 9),
 ])
 def test_lr_count_matches_the_kostka_stages_at_weights_10_to_15(s1, s2, want):
-    # tab_first and lr_first are sums of Kostka numbers, independent of
-    # the LR filling search
+    # tab_first and lr_first are sums of Kostka numbers and brute a sum of
+    # margin counts, each independent of the LR filling search; every stage
+    # runs at the mode's least box and at the box one larger
     s1, s2 = SkewShape.parse(s1), SkewShape.parse(s2)
     for mode in (BINARY, INTEGRAL):
         assert lr_count(s1, s2, mode) == want
-        for stage in (TAB_FIRST, LR_FIRST):
-            assert alternating_sum(s1, s2, stage, mode, _least_box(s1, s2, mode)) == want
+        for stage in STAGES:
+            assert alternating_sum(s1, s2, stage, mode, _least_box(s1, s2, mode)) == want, (
+                mode, stage)
 
 
 @pytest.mark.parametrize("s1,s2", [("2,1", "3"), ("2,1", "2,1"), ("1", "2,1")])

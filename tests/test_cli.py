@@ -103,6 +103,16 @@ def test_scalar(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_scalar_weight_12_at_a_narrow_box(capsys):
+    # the LR-side symbols in 9 and 10 rows: 192 nonzero each among the
+    # 419,900 compositions of 12 into that many parts
+    rc = run(["scalar", "--mode", "binary", "--stage", "tab_first",
+              "--shape1", "2,2,2,2,2,2,1,1/1,1", "--shape2", "3,2,2,2,2,1,1,1,1/2,1",
+              "--box", "9,2"])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
 def test_scalar_trace(capsys):
     rc = run(["scalar", "--mode", "binary", "--stage", "fully_reduced",
               "--shape1", "2,1/0", "--shape2", "2,1,1/1", "--trace"])
