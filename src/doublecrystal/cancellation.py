@@ -22,11 +22,16 @@ skew Kostka number does not change when the content is permuted; zero
 parts carry nothing either.  So `_kostka` and `_margin_count` fill their
 caches keyed by the sorted nonzero parts, and the stages sum the symbols of
 the compositions sharing those parts before they count (`_content_support`).
-tab_first and lr_first weight the symbols by Kostka numbers instead of
-margin counts.
+A margin fill takes the first row a block of equal column sums at a time,
+once per multiset of the block's entries, weighted by the number of ways to
+place it (`_margin_fill`).  tab_first and lr_first weight the symbols by
+Kostka numbers instead of margin counts.
 
 `lr_count`, which is also the fully_reduced stage, is the pruned
 Littlewood-Richardson filling search on plain ints: it builds no matrix.
+The count depends on the two skew shapes alone, so the search is memoised
+on their four partitions (`_lr_search`), one search per shape pair that
+both modes, every box and the fully_reduced stage share.
 `tableau_side` encodes every tableau of shape1 with the content of shape2;
 `scalar --trace` and the tests walk it.
 
@@ -35,6 +40,8 @@ matrix's LR chain, which the `matrices` module docstring states.
 """
 
 from functools import lru_cache
+from itertools import groupby
+from math import comb
 
 from . import crystal_binary as cb
 from . import crystal_integral as ci
@@ -220,18 +227,6 @@ def _content_support(base, target, n, slots):
     return tuple((key, s) for key, s in sums.items() if s)
 
 
-def _spread(r, cols, cap):
-    """Rows of total r with entry j at most min(cols[j], cap)."""
-    if not cols:
-        if r == 0:
-            yield ()
-        return
-    hi = min(r, cols[0], cap)
-    for x in range(hi, -1, -1):
-        for rest in _spread(r - x, cols[1:], cap):
-            yield (x,) + rest
-
-
 @lru_cache(maxsize=None)
 def _margin_count(mode, rs, cs):
     """Number of matrices with row sums rs and column sums cs: 0/1 entries
@@ -252,15 +247,45 @@ def _margin_count(mode, rs, cs):
 
 @lru_cache(maxsize=None)
 def _margin_fill(mode, rs, cs):
-    """_margin_count of sorted nonzero sums of equal totals: every filling
-    of the first row, each followed by the count of the rest."""
+    """_margin_count of sorted nonzero sums of equal totals: the fillings
+    of the first row, each followed by the count of the rest.
+
+    The column sums come sorted, so equal sums sit in blocks.  Filling a
+    block of t columns of sum c with n_x entries of each value x can be
+    done in t!/prod(n_x!) ways, all leaving the same column sums, so the
+    fill recurses once per multiset of entries in each block, not once per
+    filling: `take` chooses how many of the block's columns hold the
+    largest entry still allowed, C(t, k) ways, then goes one value lower.
+    """
     if not rs:
         return 1
     cap = 1 if mode == BINARY else rs[0]
-    total = 0
-    for row in _spread(rs[0], cs, cap):
-        total += _margin_fill(mode, rs[1:], _sorted_parts(c - x for c, x in zip(cs, row)))
-    return total
+    blocks = [(c, len(list(g))) for c, g in groupby(cs)]
+    rest = rs[1:]
+    left = []  # the column sums after the entries chosen so far
+
+    def fill(b, budget):
+        # the row's remaining `budget` over the blocks from b on
+        if b == len(blocks):
+            return _margin_fill(mode, rest, _sorted_parts(left)) if budget == 0 else 0
+        c, t = blocks[b]
+        return take(b, c, t, min(c, cap, budget), budget)
+
+    def take(b, c, t, x, budget):
+        # t columns of block b left to fill, with entries of at most x
+        if x == 0 or t == 0:
+            left.extend([c] * t)
+            total = fill(b + 1, budget)
+            del left[len(left) - t:]
+            return total
+        total = 0
+        for k in range(min(t, budget // x) + 1):
+            left.extend([c - x] * k)
+            total += comb(t, k) * take(b, c, t - k, x - 1, budget - k * x)
+            del left[len(left) - k:]
+        return total
+
+    return fill(0, rs[0])
 
 
 def tableau_side(shape1: SkewShape, shape2: SkewShape, mode: str):
@@ -282,19 +307,29 @@ def lr_count(shape1: SkewShape, shape2: SkewShape, mode: str) -> int:
     shape2.outer - shape2.inner, in either mode (raises UsageError for an
     unknown one).
 
-    A depth-first search fills the cells of shape1 row by row from the top,
-    each row right to left (the reverse reading order).  Entry v lies
-    between the entry above plus one and the entry to its right, v is used
-    at most nu_v - mu_v times, and mu + (content so far) stays a partition:
-    the LR condition, checked on every prefix, so a dead branch is cut
-    where it starts.
+    The count reads neither the mode nor a box, so after the checks it is
+    one memoised search per shape pair (`_lr_search`), which both modes and
+    the fully_reduced stage at every box share.
     """
     if mode not in (BINARY, INTEGRAL):
         raise UsageError(f"unknown mode: {mode!r}")
     if shape1.weight != shape2.weight:
         return 0
-    lam, kap = shape1.outer, shape1.inner
-    nu, mu = shape2.outer, shape2.inner
+    return _lr_search(shape1.outer, shape1.inner, shape2.outer, shape2.inner)
+
+
+@lru_cache(maxsize=None)
+def _lr_search(lam, kap, nu, mu) -> int:
+    """The LR tableaux of lam/kap with content nu - mu, for partitions of
+    equal skew weights.
+
+    A depth-first search fills the cells of lam/kap row by row from the
+    top, each row right to left (the reverse reading order).  Entry v lies
+    between the entry above plus one and the entry to its right, v is used
+    at most nu_v - mu_v times, and mu + (content so far) stays a partition:
+    the LR condition, checked on every prefix, so a dead branch is cut
+    where it starts.
+    """
     top = len(nu) - 1
     room = [part(nu, v) - part(mu, v) for v in range(len(nu))]  # uses of v left
     level = [part(mu, v) for v in range(len(nu))]  # mu + content so far
@@ -340,17 +375,13 @@ def _stage_value(shape1, shape2, stage, mode, box):
     n = shape1.weight
     if n != shape2.weight:
         return 0
-    if mode == BINARY:
-        f_base, f_target = conjugate(kap), conjugate(lam)  # on column sums
-        g_base, g_target = mu, nu  # on row sums
-        f_slots, g_slots = w, h
-    else:
-        f_base, f_target = kap, lam  # on row sums
-        g_base, g_target = mu, nu  # on column sums
-        f_slots, g_slots = h, w
     if stage == BRUTE:
-        f_sup = _content_support(f_base, f_target, n, f_slots)
-        g_sup = _content_support(g_base, g_target, n, g_slots)
+        if mode == BINARY:
+            f_sup = _content_support(conjugate(kap), conjugate(lam), n, w)  # on column sums
+            g_sup = _content_support(mu, nu, n, h)  # on row sums
+        else:
+            f_sup = _content_support(kap, lam, n, h)  # on row sums
+            g_sup = _content_support(mu, nu, n, w)  # on column sums
         total = 0
         for a1, s1 in f_sup:
             for a2, s2 in g_sup:
@@ -377,7 +408,8 @@ def _stage_value(shape1, shape2, stage, mode, box):
             # shape, with the column sums reversed into the w slots (the
             # Kostka number does not see the order)
             sup = _content_support(conjugate(kap), conjugate(lam), n, w)
-            return sum(s * _kostka(conjugate(mu), conjugate(nu), alpha) for alpha, s in sup)
+            inner, outer = conjugate(mu), conjugate(nu)
+            return sum(s * _kostka(inner, outer, alpha) for alpha, s in sup)
         if len(nu) > w:
             return 0
         sup = _content_support(kap, lam, n, h)
@@ -388,7 +420,7 @@ def _stage_value(shape1, shape2, stage, mode, box):
                 return 0
         elif len(lam) > h or len(nu) > w:
             return 0
-        return lr_count(shape1, shape2, mode)
+        return _lr_search(lam, kap, nu, mu)
     raise ValueError(f"unknown stage: {stage}")
 
 
@@ -407,9 +439,10 @@ def alternating_sum(shape1: SkewShape, shape2: SkewShape, stage: str, mode: str,
     the mode supported in the box.
 
     Raises UsageError for an unknown stage or mode, and unless box is two
-    integers of at least 1.  For shapes of equal weight, raises BoxTooSmall
-    unless the box covers both targets (see _least_box), and also unless the
-    value is unchanged when the box grows by one row and one column.
+    integers of at least 1.  Shapes of different weights sum to 0.  For
+    shapes of equal weight, raises BoxTooSmall unless the box covers both
+    targets (see _least_box), and also unless the value is unchanged when
+    the box grows by one row and one column.
     """
     if stage not in STAGES:
         raise UsageError(f"unknown stage: {stage!r}")
@@ -418,13 +451,14 @@ def alternating_sum(shape1: SkewShape, shape2: SkewShape, stage: str, mode: str,
     if (not isinstance(box, (tuple, list)) or len(box) != 2
             or any(type(x) is not int or x < 1 for x in box)):
         raise UsageError(f"box must be two integers of at least 1, got {box!r}")
-    if shape1.weight == shape2.weight:
-        need = _least_box(shape1, shape2, mode)
-        if box[0] < need[0] or box[1] < need[1]:
-            raise BoxTooSmall(
-                f"box {box} does not cover the targets of {shape1} and {shape2}; "
-                f"{mode} needs at least {need}"
-            )
+    if shape1.weight != shape2.weight:
+        return 0
+    need = _least_box(shape1, shape2, mode)
+    if box[0] < need[0] or box[1] < need[1]:
+        raise BoxTooSmall(
+            f"box {box} does not cover the targets of {shape1} and {shape2}; "
+            f"{mode} needs at least {need}"
+        )
     v = _stage_value(shape1, shape2, stage, mode, box)
     v2 = _stage_value(shape1, shape2, stage, mode, (box[0] + 1, box[1] + 1))
     if v != v2:

@@ -5,6 +5,7 @@ from 0 and implicitly extended by zeros.  All functions return trimmed
 tuples (no trailing zeros), and accept untrimmed input.
 """
 
+from functools import cached_property
 from itertools import starmap, zip_longest
 import operator
 
@@ -220,8 +221,10 @@ class SkewShape(Frozen):
         outer, _, inner = text.partition("/")
         return cls(parse_partition(outer), parse_partition(inner) if inner else ())
 
-    @property
+    @cached_property
     def weight(self) -> int:
+        """The number of cells, summed on first read and kept in the
+        instance dict; assigning or deleting it still raises."""
         return size(self.outer) - size(self.inner)
 
     def cells(self):

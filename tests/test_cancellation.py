@@ -15,6 +15,7 @@ from doublecrystal.cancellation import (
     _chains,
     _kostka,
     _least_box,
+    _lr_search,
     _margin_count,
     _stage_value,
     _symbol_support,
@@ -292,6 +293,23 @@ def test_lr_count_rejects_an_unknown_mode(s1, s2):
     # also for a pair with no tableau, or of different weights
     with pytest.raises(UsageError, match="unknown mode: 'foo'"):
         lr_count(SkewShape.parse(s1), SkewShape.parse(s2), "foo")
+
+
+def test_lr_count_and_fully_reduced_share_one_search():
+    # the count reads neither the mode nor the box: both modes of lr_count
+    # and of the fully_reduced stage, at a box and the box one larger, cost
+    # one search of a fresh pair
+    s1, s2 = SkewShape.parse("4,3,1/2"), SkewShape.parse("4,2,1/1")
+    _lr_search.cache_clear()
+    want = lr_count(s1, s2, BINARY)
+    assert want == 3
+    assert lr_count(s1, s2, INTEGRAL) == want
+    for mode in (BINARY, INTEGRAL):
+        assert alternating_sum(s1, s2, FULLY_REDUCED, mode, _least_box(s1, s2, mode)) == want
+    assert _lr_search.cache_info().misses == 1
+    # the mode is still checked once the pair is cached
+    with pytest.raises(UsageError, match="unknown mode: 'foo'"):
+        lr_count(s1, s2, "foo")
 
 
 def test_stage_agreement_on_every_pair_up_to_six_cells():

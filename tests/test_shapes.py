@@ -136,6 +136,26 @@ def test_skew_shape():
     assert list(SkewShape((2, 1), (1,)).cells()) == [(0, 1), (1, 0)]
 
 
+def test_cached_weight_keeps_skew_shapes_frozen():
+    # the weight is summed on first read and kept in the instance; the
+    # shape still refuses to have it assigned or deleted, before that read
+    # and after, and repr, == and hash do not see it
+    for outer in partitions_up_to(6):
+        for inner in subpartitions(outer):
+            sh, twin = SkewShape(outer, inner), SkewShape(outer, inner)
+            text, key = repr(sh), hash(sh)
+            with pytest.raises(AttributeError):
+                sh.weight = 0
+            assert sh.weight == sum(outer) - sum(inner)
+            with pytest.raises(AttributeError):
+                sh.weight = 0
+            with pytest.raises(AttributeError):
+                del sh.weight
+            assert sh.weight == sum(outer) - sum(inner)
+            assert repr(sh) == text == repr(twin)
+            assert sh == twin and hash(sh) == key == hash(twin)
+
+
 def test_trim_and_equality():
     assert trim((2, 1, 0, 0)) == (2, 1)
     assert Tableau(SST, ((0,), (2, 0))) == Tableau(SST, ((), (2,)))
