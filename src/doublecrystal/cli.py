@@ -70,34 +70,30 @@ def _read_tableau(args, attr="tableau"):
     return Tableau(getattr(args, "flavor", SST) or SST, chain)
 
 
-def _emit_matrix(m, args):
-    if getattr(args, "json", False):
-        print(m.to_json())
-    else:
-        print(m.to_text())
+def _render(value, as_json):
+    """A matrix or a tableau as JSON or as text."""
+    if not isinstance(value, Tableau):
+        return value.to_json() if as_json else value.to_text()
+    if as_json:
+        return json.dumps({"flavor": value.flavor, "chain": [list(c) for c in value.chain]})
+    return "\n".join([f"# flavor: {value.flavor}", *map(format_partition, value.chain)])
 
 
-def _emit_tableau(t, args):
-    if getattr(args, "json", False):
-        print(json.dumps({"flavor": t.flavor, "chain": [list(c) for c in t.chain]}))
-    else:
-        print(f"# flavor: {t.flavor}")
-        for c in t.chain:
-            print(format_partition(c))
-
-
-def _shape(text):
-    return SkewShape.parse(text)
+def _emit(args, *values):
+    """Print matrices or tableaux: as text, in blocks separated by a blank
+    line; with --json, as one JSON value, a list when there are two."""
+    out = [_render(v, args.json) for v in values]
+    print(f"[{', '.join(out)}]" if args.json and len(out) > 1 else "\n\n".join(out))
 
 
 def cmd_encode(args):
     t = _read_tableau(args)
-    _emit_matrix(encode(t, args.mode), args)
+    _emit(args, encode(t, args.mode))
 
 
 def cmd_decode(args):
     m = _read_matrix(args)
-    _emit_tableau(decode(m, _shape(args.shape), args.mode), args)
+    _emit(args, decode(m, SkewShape.parse(args.shape), args.mode))
 
 
 def _index(args):
@@ -112,7 +108,7 @@ def cmd_move(args):
     if res is None:
         print("none")
         return
-    _emit_matrix(res[0], args)
+    _emit(args, res[0])
     print(f"# {res[1]}", file=sys.stderr)
 
 
@@ -128,26 +124,20 @@ def cmd_exhaust(args):
         if d not in DIRECTIONS:
             raise UsageError(f"unknown direction {d!r}")
     out, records = exhaust(m, dirs, args.bound)
-    _emit_matrix(out, args)
+    _emit(args, out)
     if args.records:
         for rec in records:
             print(f"# {rec}", file=sys.stderr)
 
 
 def cmd_decompose(args):
-    m = _read_matrix(args)
-    p, q = decompose(m)
-    _emit_matrix(p, args)
-    print()
-    _emit_matrix(q, args)
+    _emit(args, *decompose(_read_matrix(args)))
 
 
 def cmd_compose(args):
-    args.matrix = args.p
-    p = _read_matrix(args)
-    args.matrix = args.q
-    q = _read_matrix(args)
-    _emit_matrix(compose(p, q), args)
+    p = _read_matrix(args, "p")
+    q = _read_matrix(args, "q")
+    _emit(args, compose(p, q))
 
 
 def cmd_normal_form(args):
@@ -176,36 +166,20 @@ def cmd_growth(args):
 def cmd_burge(args):
     from . import insertion
 
-    m = _read_matrix(args)
-    if not args.mode:
-        args.mode = INTEGRAL
-    p, q = insertion.burge(m)
-    _emit_tableau(p, args)
-    print()
-    _emit_tableau(q, args)
+    _emit(args, *insertion.burge(_read_matrix(args)))
 
 
 def cmd_dual_rsk(args):
     from . import insertion
 
-    m = _read_matrix(args)
-    if args.variant == "col":
-        s, r = insertion.dual_rsk_col(m)
-        _emit_tableau(s, args)
-        print()
-        _emit_tableau(r, args)
-    else:
-        r_star, s = insertion.dual_rsk_row(m)
-        _emit_tableau(r_star, args)
-        print()
-        _emit_tableau(s, args)
+    dual_rsk = insertion.dual_rsk_col if args.variant == "col" else insertion.dual_rsk_row
+    _emit(args, *dual_rsk(_read_matrix(args)))
 
 
 def cmd_dual(args):
     from . import schutzenberger
 
-    t = _read_tableau(args)
-    _emit_tableau(schutzenberger.dual(t), args)
+    _emit(args, schutzenberger.dual(_read_tableau(args)))
 
 
 def _box(text):
@@ -218,7 +192,7 @@ def _box(text):
 def cmd_scalar(args):
     from .cancellation import alternating_sum
 
-    s1, s2 = _shape(args.shape1), _shape(args.shape2)
+    s1, s2 = SkewShape.parse(args.shape1), SkewShape.parse(args.shape2)
     box = _box(args.box) if args.box else (6, 6)
     value = alternating_sum(s1, s2, args.stage, args.mode, box)
     print(value)
@@ -241,7 +215,7 @@ def _print_cancellation_trace(s1, s2, mode, box):
 def cmd_pictures(args):
     from . import pictures
 
-    dom, cod = _shape(args.dom), _shape(args.cod)
+    dom, cod = SkewShape.parse(args.dom), SkewShape.parse(args.cod)
     if args.action == "enumerate":
         pics = pictures.enumerate_pictures(dom, cod)
         print(len(pics))

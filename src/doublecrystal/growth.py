@@ -13,6 +13,13 @@ spots and matches the optional squares in the same pass.  Every
 ShapeDatumError check stays, as a comparison or count in that pass.  The
 public rules trim their inputs and call it; growth_diagram calls it on its
 stored shapes, which are already trimmed rule outputs.
+
+Each backward rule (burge_backward, rsk_backward, dual_backward) checks
+the strip relations of mu and nu below kappa, its only input check, and
+then makes one pass: those relations already make mu, nu and kappa
+partitions and the result the forward rule's preimage, so nothing is
+re-checked and the forward rule is not re-run.  dual_backward meets and
+matches the optional squares in its pass as _dual does.
 """
 
 from itertools import count
@@ -22,7 +29,7 @@ from operator import add, ge, le, sub
 from .decomposition import normal_form
 from .matrices import NE, NW, ORIENTATIONS, SE, SW, BinaryMatrix, IntegralMatrix, Matrix
 from .shapes import (
-    Frozen, Partition, _is_trimmed_partition, is_partition, padded, part, revert, trim,
+    Frozen, Partition, _is_trimmed_partition, padded, part, revert, trim,
 )
 
 ROW_INSERTION = "row_insertion"
@@ -110,12 +117,7 @@ def burge_backward(mu, nu, kappa) -> tuple[Partition, int]:
         d = a + b - k - c
         lam.append(max(d, k_next))
         c = lam[-1] - d
-    lam = trim(lam)
-    if not is_partition(lam):
-        raise ShapeDatumError(f"backward datum produced a non-partition: {lam}")
-    if _burge(lam, mu, nu, c) != kappa:
-        raise ShapeDatumError("backward datum does not invert the forward datum")
-    return lam, c
+    return trim(lam), c
 
 
 def _rsk(lam, mu, nu, m: int) -> Partition:
@@ -152,87 +154,9 @@ def rsk_backward(mu, nu, kappa) -> tuple[Partition, int]:
     mp, np_, kp = padded(mu, n), padded(nu, n), padded(kappa, n)
     if not (_h_le(mp, kp) and _h_le(np_, kp)):
         raise ShapeDatumError(f"need mu <=h kappa and nu <=h kappa: {mu}, {nu}, {kappa}")
-    m = kp[0] - max(mp[0], np_[0])
     # lam_i = min(mu_i, nu_i) + max(mu_{i+1}, nu_{i+1}) - kappa_{i+1}
     lam = trim(map(sub, map(add, map(min, mp, np_), map(max, mp[1:], np_[1:])), kp[1:]))
-    if m < 0 or not is_partition(lam):
-        raise ShapeDatumError(f"backward datum produced invalid (lam, m) = ({lam}, {m})")
-    lp = padded(lam, n)
-    if not (_h_le(lp, mp) and _h_le(lp, np_)):
-        raise ShapeDatumError(f"backward lam is not <=h mu, nu: {lam}")
-    if _rsk(lam, mu, nu, m) != kappa:
-        raise ShapeDatumError("backward datum does not invert the forward datum")
-    return lam, m
-
-
-def _optional_squares(mp, np_):
-    """The optional-square sets (S, T) of the binary shape datum for
-    partitions mu, nu zero-padded to one length, longer than either.
-
-    S consists of the squares that end both a row of mu and a column of nu
-    (optional for lam); T of the squares just past both a column of mu and
-    a row of nu (optional for kappa).  |T| = |S| + 1 always.
-    """
-    s_set, t_set = [], []
-    above = inf  # mu_{i-1}, infinite for the first row
-    for i, m, a, b in zip(count(), mp, np_, np_[1:] + (0,)):
-        # S: (i, mu_i - 1) with nu_i >= mu_i > nu_{i+1}
-        if a >= m > b:
-            s_set.append((i, m - 1))
-        # T: (i, nu_i) with mu_i <= nu_i < mu_{i-1}
-        if m <= a < above:
-            t_set.append((i, a))
-        above = m
-    if len(t_set) != len(s_set) + 1:
-        raise ShapeDatumError(
-            f"optional square sets of sizes {len(s_set)}, {len(t_set)} for {trim(mp)}, {trim(np_)}"
-        )
-    return s_set, t_set
-
-
-def _match_optional(s_set, t_set, flavor):
-    """Injective matching S -> T; returns (pairs dict, unmatched t0).
-
-    S and T hold at most one square per row and list them by increasing
-    row, hence by decreasing column.
-    """
-    pairs = {}
-    k = 0
-    if flavor == ROW_INSERTION:
-        # each s matches the first t in a row strictly below it; the t's
-        # skipped on the way lie in rows no later s can reach
-        rest = []
-        for s in s_set:
-            while k < len(t_set) and t_set[k][0] <= s[0]:
-                rest.append(t_set[k])
-                k += 1
-            if k == len(t_set):
-                raise ShapeDatumError(f"no match below optional square {s}")
-            t = t_set[k]
-            k += 1
-            if t[1] > s[1]:
-                raise ShapeDatumError(f"matched square {t} not weakly left of {s}")
-            pairs[s] = t
-    elif flavor == COL_INSERTION:
-        # each s matches the first t in a column strictly to its right: the
-        # t's right of s, unused, are stacked with the nearest on top
-        rest = []
-        for s in s_set:
-            while k < len(t_set) and t_set[k][1] > s[1]:
-                rest.append(t_set[k])
-                k += 1
-            if not rest:
-                raise ShapeDatumError(f"no match right of optional square {s}")
-            t = rest.pop()
-            if t[0] > s[0]:
-                raise ShapeDatumError(f"matched square {t} not weakly above {s}")
-            pairs[s] = t
-    else:
-        raise ValueError(f"unknown flavor: {flavor}")
-    rest += t_set[k:]
-    if len(rest) != 1:
-        raise ShapeDatumError(f"matching left {len(rest)} unmatched squares")
-    return pairs, rest[0]
+    return lam, kp[0] - max(mp[0], np_[0])
 
 
 def _dual(lam, mu, nu, bit: int, flavor: str) -> Partition:
@@ -318,34 +242,47 @@ def dual_forward(lam, mu, nu, bit: int, flavor: str) -> Partition:
 
 
 def dual_backward(mu, nu, kappa, flavor: str) -> tuple[Partition, int]:
-    """Binary shape datum, backward direction: (lam, bit) from (mu, nu, kappa)."""
+    """Binary shape datum, backward direction: (lam, bit) from (mu, nu, kappa).
+
+    One pass over the padded rows meets T = (i, nu_i) and S = (i, mu_i - 1)
+    as _dual does and matches them the same way: first in, first out for
+    row insertion, last in, first out for column insertion.  lam starts as
+    the meet of mu and nu; a matched S leaves lam when its T is a cell of
+    kappa (kappa_t > nu_t), and the bit says whether the unmatched T is.
+    """
     mu, nu, kappa = trim(mu), trim(nu), trim(kappa)
     n = max(len(mu), len(nu), len(kappa)) + 1
     mp, np_, kp = padded(mu, n), padded(nu, n), padded(kappa, n)
     if not (_h_le(mp, kp) and _v_le(np_, kp)):
         raise ShapeDatumError(f"need mu <=h kappa and nu <=v kappa: {mu}, {nu}, {kappa}")
-    s_set, t_set = _optional_squares(mp, np_)
-    pairs, t0 = _match_optional(s_set, t_set, flavor)
-    join = tuple(map(max, mp, np_))
-    if not all(map(le, join, kp)):
-        raise ShapeDatumError(f"kappa = {kappa} missing obligatory squares")
-    extra = [(i, j) for i, k in enumerate(kappa) for j in range(join[i], k)]
-    for cell in extra:
-        if cell != t0 and cell not in pairs.values():
-            raise ShapeDatumError(f"kappa has non-optional extra square {cell}")
-    bit = 1 if t0 in extra else 0
-    removed = [s for s, t in pairs.items() if t in extra]
-    lam_rows = list(map(min, mp, np_))
-    for i, j in sorted(removed, reverse=True):
-        if lam_rows[i] != j + 1:
-            raise ShapeDatumError(f"cannot remove optional square {(i, j)}")
-        lam_rows[i] = j
-    lam = trim(lam_rows)
-    if not is_partition(lam):
-        raise ShapeDatumError(f"backward datum produced a non-partition: {lam}")
-    if _dual(lam, mu, nu, bit, flavor) != kappa:
-        raise ShapeDatumError("backward datum does not invert the forward datum")
-    return lam, bit
+    if flavor not in (ROW_INSERTION, COL_INSERTION):
+        raise ValueError(f"unknown flavor: {flavor}")
+    # past the strip relations mu, nu and kappa are partitions: every
+    # S finds its T and exactly one T is left unmatched
+    fifo = flavor == ROW_INSERTION
+    lam = list(map(min, mp, np_))
+    waiting = []  # row insertion: the S rows, from waiting[head] on; else the T stack
+    head = 0
+    above = inf  # mu_{i-1}
+    for i, m, a, b, k in zip(count(), mp, np_, np_[1:] + (0,), kp):
+        if m <= a < above:  # T = (i, a), a cell of kappa iff k > a
+            if not fifo:
+                waiting.append(i)
+            elif head < len(waiting):
+                lam[waiting[head]] -= k > a
+                head += 1
+            else:
+                t0 = i
+        if a >= m > b:  # S = (i, m - 1)
+            if fifo:
+                waiting.append(i)
+            else:
+                t = waiting.pop()
+                lam[i] -= kp[t] > np_[t]
+        above = m
+    if not fifo:
+        t0 = waiting[0]
+    return trim(lam), int(kp[t0] > np_[t0])
 
 
 def dual_datum(flavor: str, direction: str, *, lam=None, mu, nu, kappa=None, bit=None):
@@ -363,15 +300,6 @@ class GrowthDiagram(Frozen):
     def __init__(self, orientation: str, grid: tuple[tuple[Partition, ...], ...],
                  source: Matrix):
         vars(self).update(orientation=orientation, grid=grid, source=source)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.orientation, self.grid, self.source)
-                == (other.orientation, other.grid, other.source))
-
-    def __hash__(self):
-        return hash((self.orientation, self.grid, self.source))
 
     @property
     def height(self) -> int:

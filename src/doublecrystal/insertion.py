@@ -84,6 +84,13 @@ def _chain_of_display(rows, flavor):
     return tuple(conjugate(c) for c in _grid_to_chain(_cols_to_rows(rows)))
 
 
+def _require_mode(m, binary: bool, name: str):
+    """Raise ValueError unless m is binary (binary=True) or integral."""
+    if m.binary != binary:
+        want, got = ("binary", "integral") if binary else ("integral", "binary")
+        raise ValueError(f"{name} takes {want} matrices, not {got} ones")
+
+
 def burge(m: IntegralMatrix) -> tuple[Tableau, Tableau]:
     """Burge correspondence by column insertion in Semitic reading order.
 
@@ -91,6 +98,7 @@ def burge(m: IntegralMatrix) -> tuple[Tableau, Tableau]:
     m[i,j] copies of j.  The recording chain lists the shape before each
     row's traversal.
     """
+    _require_mode(m, False, "burge")
     cols = []
     chain = [()]
     for i in range(m.height):
@@ -110,6 +118,7 @@ def dual_rsk_col(m: BinaryMatrix) -> tuple[Tableau, Tableau]:
     i for each bit m[i,j] = 1.  The recording chain lists the shape after
     each column's traversal (a reverse transpose semistandard tableau).
     """
+    _require_mode(m, True, "dual_rsk_col")
     cols = []
     chain = []
     for j in range(m.width - 1, -1, -1):
@@ -145,6 +154,7 @@ def _row_insert_one(rows, x, gt=True):
 def rsk_row(m: IntegralMatrix) -> tuple[Tableau, Tableau]:
     """Classical row-insertion RSK: p inserts column indices in row-major
     order, q records the shape before each row's insertions."""
+    _require_mode(m, False, "rsk_row")
     rows = []
     chain = [()]
     for i in range(m.height):
@@ -161,6 +171,7 @@ def dual_rsk_row(m: BinaryMatrix) -> tuple[Tableau, Tableau]:
     """Dual RSK in the row-insertion form: the insertion tableau is
     transpose semistandard (rows strictly increasing, bump the leftmost
     entry >= x), the recording tableau semistandard."""
+    _require_mode(m, True, "dual_rsk_row")
     rows = []
     chain = [()]
     for i in range(m.height):

@@ -39,15 +39,6 @@ class Picture(Frozen):
                  mapping: tuple[tuple[tuple[int, int], tuple[int, int]], ...]):
         vars(self).update(domain=domain, codomain=codomain, mapping=tuple(sorted(mapping)))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.domain, self.codomain, self.mapping)
-                == (other.domain, other.codomain, other.mapping))
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, self.mapping))
-
     def inverse(self) -> "Picture":
         return Picture(
             self.codomain, self.domain, tuple((t, s) for s, t in self.mapping)

@@ -175,11 +175,23 @@ def format_partition(lam) -> str:
 class Frozen:
     """Base of value classes whose fields are set once, in `__init__`.
 
-    Subclasses name their fields in `_fields` (for `repr`) and define
-    `__eq__` and `__hash__` over them.
+    Subclasses name their fields in `_fields`; `repr`, `==` and `hash` read
+    them in that order.  Instances of different classes never compare equal
+    (`__eq__` returns NotImplemented).
     """
 
     _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -204,14 +216,6 @@ class SkewShape(Frozen):
         if not contains(inner, outer):
             raise ValueError(f"inner not contained in outer: {outer}/{inner}")
         vars(self).update(outer=outer, inner=inner)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.outer, self.inner) == (other.outer, other.inner)
-
-    def __hash__(self):
-        return hash((self.outer, self.inner))
 
     def __str__(self):
         return f"{format_partition(self.outer)}/{format_partition(self.inner)}"
@@ -276,14 +280,6 @@ class Tableau(Frozen):
                     f"chain step {a} -> {b} violates {flavor} strip relation"
                 )
         vars(self).update(flavor=flavor, chain=chain)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.flavor, self.chain) == (other.flavor, other.chain)
-
-    def __hash__(self):
-        return hash((self.flavor, self.chain))
 
     @property
     def reverse(self) -> bool:

@@ -35,12 +35,15 @@ from .decomposition import (
     normal_form,
     potential,
 )
-from .growth import ORIENTATIONS, growth_diagram
+from .growth import COL_INSERTION, burge_backward, dual_backward, growth_diagram
 from .insertion import burge, dual_rsk_col, rectify
 from .matrices import (
     BINARY,
     INTEGRAL,
     LR,
+    NE,
+    NW,
+    ORIENTATIONS,
     TABLEAU,
     BinaryMatrix,
     IntegralMatrix,
@@ -299,6 +302,52 @@ def check_growth(m):
 
 
 @_names_case
+def check_growth_decomposition(m):
+    """The borders of a growth diagram read (P, Q) = decompose(m), and the
+    backward local rules fill the diagram back to m from them.
+
+    Integral, NW diagram: the bottom row encodes P and the right column
+    the transpose of Q; the fill runs burge_backward.  Binary, NE diagram:
+    the left column encodes Q and the bottom row holds the column suffix
+    sums of P; the fill runs dual_backward with column insertion, on the
+    diagram mirrored left to right, whose squares read as NW ones.  The
+    fill starts at the bottom-right corner, each square taking (lam,
+    entry) from its other three corners, and ends on empty borders.  The
+    kernel's route back, compose(P, Q), must give m too: decompose climbs
+    whole ladders, compose also cut ones.
+    """
+    p, q = decompose(m)
+    if m.binary:
+        grid = growth_diagram(m, NE).grid
+        bottom, side = grid[-1], tuple(row[0] for row in grid)
+        _require(encode(Tableau(SST, side), BINARY) == q, "the left border encodes Q")
+        suffixes = tuple(trim(sum(row[j:]) for row in p.rows) for j in range(len(bottom)))
+        _require(bottom == suffixes, "the bottom border holds the column suffix sums of P")
+        bottom = bottom[::-1]
+        rule = functools.partial(dual_backward, flavor=COL_INSERTION)
+    else:
+        grid = growth_diagram(m, NW).grid
+        bottom, side = grid[-1], tuple(row[-1] for row in grid)
+        _require(encode(Tableau(SST, bottom), INTEGRAL) == p, "the bottom border encodes P")
+        _require(encode(Tableau(SST, side), INTEGRAL).transpose() == q,
+                 "the right border encodes Q")
+        rule = burge_backward
+    h, w = len(side) - 1, len(bottom) - 1
+    fill = [[()] * w + [side[k]] for k in range(h)] + [list(bottom)]
+    rows = [[0] * w for _ in range(h)]
+    for k in range(h - 1, -1, -1):
+        below, here = fill[k + 1], fill[k]
+        for l in range(w - 1, -1, -1):
+            here[l], rows[k][l] = rule(here[l + 1], below[l], below[l + 1])
+    if m.binary:
+        rows = [row[::-1] for row in rows]
+    _require(type(m)(rows) == m, "the backward fill rebuilds m")
+    _require(not any(fill[0]) and not any(row[0] for row in fill),
+             "the backward fill ends on empty borders")
+    _require(compose(p, q) == m, "compose rebuilds m as the backward fill does")
+
+
+@_names_case
 def check_stage_agreement(s1, s2, box):
     """The LR count and the four stages of both modes agree."""
     values = {lr_count(s1, s2, BINARY)}
@@ -417,9 +466,12 @@ def suite_oracles(rng):
 
 
 def suite_growth(rng):
-    """Local rules match direct normalization in all four orientations."""
+    """Local rules match direct normalization in all four orientations; the
+    borders read (P, Q) and the backward rules fill them back to m."""
     for _ in range(12):
-        check_growth(_small_matrix(rng, rng.random() < 0.5))
+        m = _small_matrix(rng, rng.random() < 0.5)
+        check_growth(m)
+        check_growth_decomposition(m)
 
 
 def suite_sums(rng):

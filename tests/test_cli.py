@@ -82,6 +82,43 @@ def test_burge_and_dual_rsk(files, capsys):
     assert out.count("# flavor:") == 2
 
 
+def _tableau_json(t):
+    return {"flavor": t.flavor, "chain": [list(c) for c in t.chain]}
+
+
+@pytest.mark.parametrize("argv,key,want", [
+    (["decompose", "--mode", "binary"], "mbin", [json.loads(m.to_json()) for m in (P_BIN, Q_BIN)]),
+    (["burge"], "mint", [_tableau_json(t) for t in insertion.burge(M_INT)]),
+    (["dual-rsk"], "mbin", [_tableau_json(t) for t in insertion.dual_rsk_col(M_BIN)]),
+    (["dual-rsk", "--variant", "row"], "mbin",
+     [_tableau_json(t) for t in insertion.dual_rsk_row(M_BIN)]),
+], ids=["decompose", "burge", "dual-rsk-col", "dual-rsk-row"])
+def test_json_of_a_pair_is_one_list(files, capsys, argv, key, want):
+    """--json prints one JSON value, a list of the two objects, while the
+    text output keeps the two blocks."""
+    assert run(argv + ["--json", files[key]]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+    assert run(argv + [files[key]]) == 0
+    assert capsys.readouterr().out.count("\n\n") == 1
+
+
+@pytest.mark.parametrize("argv,mode,message", [
+    (["dual-rsk"], "integral", "dual_rsk_col takes binary matrices, not integral ones"),
+    (["dual-rsk", "--variant", "row"], "integral",
+     "dual_rsk_row takes binary matrices, not integral ones"),
+    (["burge"], "binary", "burge takes integral matrices, not binary ones"),
+])
+def test_insertion_of_the_other_mode_exit_1(tmp_path, capsys, argv, mode, message):
+    """JSON input names its own mode, past the --mode choice: an integral
+    matrix given to dual-rsk is refused, not read as its support."""
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"mode": mode, "rows": [[2 if mode == "integral" else 1, 1], [0, 1]]}))
+    assert run(argv + [str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_dual(tmp_path, capsys):
     tf = tmp_path / "t.txt"
     tf.write_text("0\n5\n7,5\n8,7,2\n8,8,4,2\n8,8,5,3,1\n")

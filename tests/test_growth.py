@@ -16,8 +16,6 @@ from doublecrystal.growth import (
     SW,
     ShapeDatumError,
     _h_le,
-    _match_optional,
-    _optional_squares,
     burge_backward,
     burge_forward,
     dual_backward,
@@ -48,7 +46,7 @@ from doublecrystal.shapes import (
     strip_le,
     trim,
 )
-from doublecrystal.verify import check_growth, random_matrix
+from doublecrystal.verify import check_growth, check_growth_decomposition, random_matrix
 
 from conftest import M_BIN, M_INT, climb, matrices, outcome
 
@@ -159,6 +157,50 @@ def oracle_rsk_forward(lam, mu, nu, m):
     return trim((m + tops[0], *(lo - l + t for lo, l, t in zip(lows, lp, tops[1:]))))
 
 
+# The integral backward rules before their one-pass form, kept as oracles:
+# after the strip relations they check that lam is a partition (RSK also
+# that m >= 0 and lam <=h mu, nu) and re-run the forward rule.
+
+
+def oracle_burge_backward(mu, nu, kappa):
+    mu, nu, kappa = trim(mu), trim(nu), trim(kappa)
+    n = max(len(mu), len(nu), len(kappa)) + 1
+    mp, np_, kp = padded(mu, n), padded(nu, n), padded(kappa, n)
+    if not (_h_le(mp, kp) and _h_le(np_, kp)):
+        raise ShapeDatumError(f"need mu <=h kappa and nu <=h kappa: {mu}, {nu}, {kappa}")
+    c = 0
+    lam = []
+    for a, b, k, k_next in zip(mp, np_, kp, kp[1:]):
+        d = a + b - k - c
+        lam.append(max(d, k_next))
+        c = lam[-1] - d
+    lam = trim(lam)
+    if not is_partition(lam):
+        raise ShapeDatumError(f"backward datum produced a non-partition: {lam}")
+    if oracle_burge_forward(lam, mu, nu, c) != kappa:
+        raise ShapeDatumError("backward datum does not invert the forward datum")
+    return lam, c
+
+
+def oracle_rsk_backward(mu, nu, kappa):
+    mu, nu, kappa = trim(mu), trim(nu), trim(kappa)
+    n = max(len(mu), len(nu), len(kappa)) + 1
+    mp, np_, kp = padded(mu, n), padded(nu, n), padded(kappa, n)
+    if not (_h_le(mp, kp) and _h_le(np_, kp)):
+        raise ShapeDatumError(f"need mu <=h kappa and nu <=h kappa: {mu}, {nu}, {kappa}")
+    m = kp[0] - max(mp[0], np_[0])
+    lam = trim(min(a, b) + max(a1, b1) - k1
+               for a, b, a1, b1, k1 in zip(mp, np_, mp[1:], np_[1:], kp[1:]))
+    if m < 0 or not is_partition(lam):
+        raise ShapeDatumError(f"backward datum produced invalid (lam, m) = ({lam}, {m})")
+    lp = padded(lam, n)
+    if not (_h_le(lp, mp) and _h_le(lp, np_)):
+        raise ShapeDatumError(f"backward lam is not <=h mu, nu: {lam}")
+    if oracle_rsk_forward(lam, mu, nu, m) != kappa:
+        raise ShapeDatumError("backward datum does not invert the forward datum")
+    return lam, m
+
+
 def test_integral_data_match_oracle():
     # every triple of partitions up to size 5 and entry -1..2, with the
     # message of each rejection and Burge's trace
@@ -213,6 +255,19 @@ def test_growth_matches_normalization_random():
     for _ in range(25):
         binary = rng.random() < 0.5
         check_growth(random_matrix(rng, binary, rng.randint(1, 4), rng.randint(1, 4)))
+
+
+def test_growth_decomposition_small_and_at_side_64():
+    # the growth diagram's borders read decompose's (P, Q) and the backward
+    # rules fill them back to the matrix, kernel-free: small random
+    # matrices, empty ones included, then side 64 in both modes
+    rng = random.Random(10)
+    for t in range(40):
+        h, w = rng.randint(0, 6), rng.randint(0, 6)
+        check_growth_decomposition(random_matrix(rng, t % 2 == 0, h, w))
+    for seed in (64, 65):
+        for binary in (False, True):
+            check_growth_decomposition(random_matrix(random.Random(seed), binary, 64, 64))
 
 
 def test_growth_border_readouts():
@@ -444,27 +499,6 @@ def oracle_dual_backward(mu, nu, kappa, flavor):
 FLAVORS = (ROW_INSERTION, COL_INSERTION)
 
 
-def test_optional_squares_and_matching_match_oracle():
-    sets = []
-    for mu, nu in itertools.product(partitions_up_to(6), repeat=2):
-        n = max(len(mu), len(nu)) + 1
-        got = outcome(_optional_squares, padded(mu, n), padded(nu, n))
-        assert got == outcome(oracle_optional_squares, mu, nu)
-        if not isinstance(got[0], type):
-            sets.append(got)
-    # squares in increasing rows and decreasing columns, as _optional_squares
-    # lists them, but in any number: each rejection of the matching shows up
-    chains = [list(zip(rows, sorted(cols, reverse=True)))
-              for k in range(4) for rows in itertools.combinations(range(4), k)
-              for cols in itertools.combinations(range(4), k)]
-    sets += list(itertools.product(chains, repeat=2))
-    for s_set, t_set in sets:
-        for flavor in FLAVORS + ("diagonal",):
-            assert outcome(_match_optional, s_set, t_set, flavor) == outcome(
-                oracle_match_optional, s_set, t_set, flavor
-            )
-
-
 def test_dual_data_match_oracle():
     # every valid input up to size 6, then every triple up to size 4 with
     # the message of each rejection
@@ -480,7 +514,23 @@ def test_dual_data_match_oracle():
     images = [(mu, nu, kappa) for mu, nu, kappa in itertools.product(parts, repeat=3)
               if strip_le(mu, kappa, HORIZONTAL) and strip_le(nu, kappa, VERTICAL)]
     for triple in images + small:
-        for flavor in FLAVORS:
+        for flavor in FLAVORS + ("diagonal",):
+            assert outcome(dual_backward, *triple, flavor) == outcome(
+                oracle_dual_backward, *triple, flavor
+            )
+
+
+def test_backward_rules_match_oracle():
+    # every triple of partitions up to size 5, then every triple of
+    # compositions with parts -1..2 and length <= 2, with the message of
+    # each rejection
+    comps = [c for k in range(3) for c in itertools.product(range(-1, 3), repeat=k)]
+    triples = itertools.chain(itertools.product(partitions_up_to(5), repeat=3),
+                              itertools.product(comps, repeat=3))
+    for triple in triples:
+        assert outcome(burge_backward, *triple) == outcome(oracle_burge_backward, *triple)
+        assert outcome(rsk_backward, *triple) == outcome(oracle_rsk_backward, *triple)
+        for flavor in FLAVORS + ("diagonal",):
             assert outcome(dual_backward, *triple, flavor) == outcome(
                 oracle_dual_backward, *triple, flavor
             )
@@ -521,6 +571,30 @@ def test_dual_forward_checks_after_the_strip_relations_never_fire():
             assert size(kappa) == size(mu) + size(nu) - size(lam) + bit
             seen += 1
     assert seen == 19092
+
+
+def test_backward_checks_after_the_strip_relations_never_fire():
+    # mu <=h kappa with nu <=h kappa, or nu <=v kappa, already make the
+    # three shapes partitions with a lam the forward rule maps back to
+    # kappa: the oracles keep every later check and the forward re-run and
+    # reject no strip-valid triple; the rules drop them and are compared
+    # with the oracles above
+    parts = list(partitions_up_to(7))
+    integral = binary = 0
+    for kappa in parts:
+        below = [mu for mu in parts if strip_le(mu, kappa, HORIZONTAL)]
+        vbelow = [nu for nu in parts if strip_le(nu, kappa, VERTICAL)]
+        for mu, nu in itertools.product(below, below):
+            for rule in (oracle_burge_backward, oracle_rsk_backward):
+                lam, m = rule(mu, nu, kappa)
+                assert size(kappa) == size(mu) + size(nu) - size(lam) + m
+            integral += 1
+        for mu, nu in itertools.product(below, vbelow):
+            for flavor in FLAVORS:
+                lam, bit = oracle_dual_backward(mu, nu, kappa, flavor)
+                assert size(kappa) == size(mu) + size(nu) - size(lam) + bit
+            binary += 1
+    assert (integral, binary) == (1755, 1398)
 
 
 def _reference_grid(m, orientation):

@@ -105,6 +105,20 @@ def test_dual_rsk_row_golden():
     assert r_star.chain == ((), (1,)) and s.chain == ((), (1,))
 
 
+@pytest.mark.parametrize("fn,m,message", [
+    (burge, M_BIN, "burge takes integral matrices, not binary ones"),
+    (rsk_row, BinaryMatrix([[1]]), "rsk_row takes integral matrices, not binary ones"),
+    (dual_rsk_col, IntegralMatrix([[2, 1], [0, 3]]),
+     "dual_rsk_col takes binary matrices, not integral ones"),
+    # an integral matrix of bits is still refused: the type says the mode
+    (dual_rsk_row, IntegralMatrix([[1]]), "dual_rsk_row takes binary matrices, not integral ones"),
+], ids=lambda x: getattr(x, "__name__", ""))
+def test_insertion_rejects_the_other_mode(fn, m, message):
+    with pytest.raises(ValueError) as exc:
+        fn(m)
+    assert str(exc.value) == message
+
+
 def test_rectify_golden(running_tableau):
     assert rectify(running_tableau) == S
     assert rectify(S) == S
