@@ -27,11 +27,12 @@ once per multiset of the block's entries, weighted by the number of ways to
 place it (`_margin_fill`).  tab_first and lr_first weight the symbols by
 Kostka numbers instead of margin counts.
 
-`lr_count`, which is also the fully_reduced stage, is the pruned
-Littlewood-Richardson filling search on plain ints: it builds no matrix.
-The count depends on the two skew shapes alone, so the search is memoised
-on their four partitions (`_lr_search`), one search per shape pair that
-both modes, every box and the fully_reduced stage share.
+`lr_count`, which is also the fully_reduced stage, counts the fillings of
+the pruned Littlewood-Richardson filling search, `pictures._lr_fillings`,
+which also yields the pictures: it builds no matrix.  The count depends on
+the two skew shapes alone, so it is memoised on their four partitions
+(`_lr_search`), one search per shape pair that both modes, every box and
+the fully_reduced stage share.
 `tableau_side` encodes every tableau of shape1 with the content of shape2;
 `scalar --trace` and the tests walk it.
 
@@ -62,6 +63,7 @@ from .matrices import (
     encode,
     mode_of,
 )
+from .pictures import _lr_fillings
 from .shapes import (
     SST,
     SkewShape,
@@ -320,52 +322,9 @@ def lr_count(shape1: SkewShape, shape2: SkewShape, mode: str) -> int:
 
 @lru_cache(maxsize=None)
 def _lr_search(lam, kap, nu, mu) -> int:
-    """The LR tableaux of lam/kap with content nu - mu, for partitions of
-    equal skew weights.
-
-    A depth-first search fills the cells of lam/kap row by row from the
-    top, each row right to left (the reverse reading order).  Entry v lies
-    between the entry above plus one and the entry to its right, v is used
-    at most nu_v - mu_v times, and mu + (content so far) stays a partition:
-    the LR condition, checked on every prefix, so a dead branch is cut
-    where it starts.
-    """
-    top = len(nu) - 1
-    room = [part(nu, v) - part(mu, v) for v in range(len(nu))]  # uses of v left
-    level = [part(mu, v) for v in range(len(nu))]  # mu + content so far
-    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r] - 1, part(kap, r) - 1, -1)]
-    at = {cell: i for i, cell in enumerate(cells)}
-    above = [at.get((r - 1, c), -1) for r, c in cells]
-    right = [at.get((r, c + 1), -1) for r, c in cells]
-    n = len(cells)
-    if n == 0:
-        return 1
-    vals = [0] * n
-    count, i, v = 0, 0, 0
-    while True:
-        hi = top if right[i] < 0 else vals[right[i]]
-        while v <= hi and not (room[v] and (v == 0 or level[v] < level[v - 1])):
-            v += 1
-        if v > hi:
-            # no entry fits cell i: take back the entry of the cell before
-            i -= 1
-            if i < 0:
-                return count
-            v = vals[i]
-            room[v] += 1
-            level[v] -= 1
-            v += 1
-        elif i + 1 == n:
-            # the last cell takes v: one more filling
-            count += 1
-            v += 1
-        else:
-            # place v and go on to the next cell
-            vals[i] = v
-            room[v] -= 1
-            level[v] += 1
-            i += 1
-            v = 0 if above[i] < 0 else vals[above[i]] + 1
+    """The number of LR tableaux of lam/kap with content nu - mu, for
+    partitions of equal skew weights: the fillings `_lr_fillings` lists."""
+    return sum(1 for _ in _lr_fillings(lam, kap, nu, mu))
 
 
 def _stage_value(shape1, shape2, stage, mode, box):

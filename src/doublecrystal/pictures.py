@@ -8,7 +8,15 @@ f(s) <=NW f(t)  =>  s <=NE t, where (i,j) <=NW (k,l) means i<=k, j<=l and
 `lift` reads the matrix's tableau chain for the domain and its LR chain
 for the codomain; the `matrices` module docstring states both.  It checks
 the matrix it is given, not the picture it builds (`verify.check_pictures`).
+
+Pictures dom -> cod are in bijection with the LR tableaux of dom with
+content cod (Zelevinsky 1981).  `_lr_fillings` is the one search for those
+fillings: it yields each one as its picture, and `cancellation` counts
+them for `lr_count`.  `enumerate_pictures` lists the pictures sorted by
+mapping up to MAX_SQUARES squares.
 """
+
+from operator import attrgetter
 
 from .matrices import (
     LR,
@@ -22,6 +30,8 @@ from .shapes import Frozen, SkewShape, part
 
 INT = "Int"
 BIN = "Bin"
+
+MAX_SQUARES = 8  # the largest weight enumerate_pictures lists
 
 
 class LiftError(ValueError):
@@ -137,43 +147,73 @@ def lift(m: Matrix, dom: SkewShape, cod: SkewShape, mode: str) -> Picture:
     return Picture(dom, cod, tuple(mapping))
 
 
-def enumerate_pictures(dom: SkewShape, cod: SkewShape, cap: int = 8):
-    """All pictures dom -> cod by backtracking over images."""
+def _lr_fillings(lam, kap, nu, mu):
+    """The LR tableaux of lam/kap with content nu - mu, for partitions of
+    equal skew weights, as pictures: each filling is yielded as its
+    mapping, the ((cell of lam/kap, image in nu/mu), ...) pairs.
+
+    A depth-first search fills the cells of lam/kap row by row from the
+    top, each row right to left (the reverse reading order).  Entry v lies
+    between the entry above plus one and the entry to its right, v is used
+    at most nu_v - mu_v times, and mu + (content so far) stays a partition:
+    the LR condition, checked on every prefix, so a dead branch is cut
+    where it starts.  This is the order `lift` assigns images in, so the
+    cell that takes v maps to the next square (v, level[v]) of row v of
+    nu/mu, read before level[v] goes up.
+    """
+    top = len(nu) - 1
+    room = [part(nu, v) - part(mu, v) for v in range(len(nu))]  # uses of v left
+    level = [part(mu, v) for v in range(len(nu))]  # mu + content so far
+    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r] - 1, part(kap, r) - 1, -1)]
+    at = {cell: i for i, cell in enumerate(cells)}
+    above = [at.get((r - 1, c), -1) for r, c in cells]
+    right = [at.get((r, c + 1), -1) for r, c in cells]
+    n = len(cells)
+    if n == 0:
+        yield ()
+        return
+    vals = [0] * n
+    image = [None] * n
+    i, v = 0, 0
+    while True:
+        hi = top if right[i] < 0 else vals[right[i]]
+        while v <= hi and not (room[v] and (v == 0 or level[v] < level[v - 1])):
+            v += 1
+        if v > hi:
+            # no entry fits cell i: take back the entry of the cell before
+            i -= 1
+            if i < 0:
+                return
+            v = vals[i]
+            room[v] += 1
+            level[v] -= 1
+            v += 1
+        elif i + 1 == n:
+            # the last cell takes v: one more filling
+            image[i] = (v, level[v])
+            yield tuple(zip(cells, image))
+            v += 1
+        else:
+            # place v and go on to the next cell
+            vals[i] = v
+            image[i] = (v, level[v])
+            room[v] -= 1
+            level[v] += 1
+            i += 1
+            v = 0 if above[i] < 0 else vals[above[i]] + 1
+
+
+def enumerate_pictures(dom: SkewShape, cod: SkewShape):
+    """All pictures dom -> cod, one per LR filling (`_lr_fillings`), in
+    increasing order of their mappings; none for unequal weights.
+
+    Raises SizeError above MAX_SQUARES squares: the output alone can be
+    w! pictures at weight w (w disconnected squares on both sides).
+    """
     if dom.weight != cod.weight:
         return []
-    if dom.weight > cap:
-        raise SizeError(f"picture enumeration capped at {cap} squares")
-    dom_cells = list(dom.cells())
-    cod_cells = list(cod.cells())
-    out = []
-    assigned = {}
-    used = set()
-
-    def ok(s, t):
-        for s2, t2 in assigned.items():
-            if _le_nw(s, s2) and not _le_ne(t, t2):
-                return False
-            if _le_nw(s2, s) and not _le_ne(t2, t):
-                return False
-            if _le_nw(t, t2) and not _le_ne(s, s2):
-                return False
-            if _le_nw(t2, t) and not _le_ne(s2, s):
-                return False
-        return True
-
-    def rec(idx):
-        if idx == len(dom_cells):
-            out.append(Picture(dom, cod, tuple(assigned.items())))
-            return
-        s = dom_cells[idx]
-        for t in cod_cells:
-            if t in used or not ok(s, t):
-                continue
-            assigned[s] = t
-            used.add(t)
-            rec(idx + 1)
-            del assigned[s]
-            used.discard(t)
-
-    rec(0)
-    return out
+    if dom.weight > MAX_SQUARES:
+        raise SizeError(f"picture enumeration capped at {MAX_SQUARES} squares")
+    fillings = _lr_fillings(dom.outer, dom.inner, cod.outer, cod.inner)
+    return sorted((Picture(dom, cod, mapping) for mapping in fillings),
+                  key=attrgetter("mapping"))

@@ -43,18 +43,6 @@ def _column_diffs(chain, rows: int):
     return tuple(zip(*cols)) if cols else ()
 
 
-def _revert_delta(chain, rows: int):
-    """Column j = revert(chain[j+1], rows) - revert(chain[j], rows) without
-    sign assumptions (used for the reverse-to-forward directions)."""
-    cols = []
-    for a, b in zip(chain, chain[1:]):
-        ra = [part(a, rows - 1 - i) for i in range(rows)]
-        rb = [part(b, rows - 1 - i) for i in range(rows)]
-        d = [abs(x - y) for x, y in zip(ra, rb)]
-        cols.append(tuple(d))
-    return tuple(zip(*cols)) if cols else ()
-
-
 def _partial_row_sums(m, k: int, n: int, suffix: bool):
     """Per j in 0..n, the trimmed row sums of m padded to k x n over the
     columns from j on (suffix) or before j, by one running sum per row."""
@@ -88,7 +76,7 @@ def dual(t: Tableau) -> Tableau:
         chain = tuple(revert(c, k) for c in _partial_row_sums(pt, k, n, suffix=True))
         return Tableau(REVERSE, chain)
     if t.flavor == REVERSE:
-        ptilde = IntegralMatrix(_revert_delta(t.chain, k))
+        ptilde = IntegralMatrix(_column_diffs([revert(c, k) for c in t.chain], k))
         p, _ = _sweep(ptilde, (UP,))
         return Tableau(SST, tuple(_partial_row_sums(p, k, n, suffix=False)))
     if t.flavor == REVERSE_TRANSPOSE:
@@ -98,7 +86,7 @@ def dual(t: Tableau) -> Tableau:
         chain = tuple(revert(c, k) for c in _partial_row_sums(pt, k, n, suffix=False))
         return Tableau(TRANSPOSE, chain)
     # TRANSPOSE
-    ptilde = BinaryMatrix(_revert_delta(t.chain, k))
+    ptilde = BinaryMatrix(_column_diffs([revert(c, k) for c in t.chain], k))
     p, _ = _sweep(ptilde, (UP,))
     return Tableau(REVERSE_TRANSPOSE, tuple(_partial_row_sums(p, k, n, suffix=True)))
 

@@ -51,7 +51,7 @@ from .matrices import (
     encode,
     mode_of,
 )
-from .pictures import BIN, INT, enumerate_pictures, lift, project
+from .pictures import BIN, INT, enumerate_pictures, lift, project, validate
 from .schutzenberger import dual, rotate_complement
 from .shapes import (
     REVERSE,
@@ -405,11 +405,16 @@ def check_dual(t):
 
 @_names_case
 def check_pictures(s1, s2):
-    """There are lr_count pictures from s1 to s2, and each is the lift of
-    its Int and its Bin projection."""
+    """The pictures from s1 to s2 are pairwise distinct pictures, as many
+    as the tableau-side matrices that meet the LR condition for s2 (a
+    route through the chain walk, not the LR filling search), and each is
+    the lift of its Int and its Bin projection."""
     pics = enumerate_pictures(s1, s2)
-    _require(len(pics) == lr_count(s1, s2, INTEGRAL), "picture count = LR count")
+    want = sum(condition(m, s2, LR, INTEGRAL) for m in tableau_side(s1, s2, INTEGRAL))
+    _require(len(pics) == want, "picture count = LR members of the tableau side")
+    _require(len(set(pics)) == len(pics), "the pictures are pairwise distinct")
     for p in pics:
+        _require(validate(p.mapping, s1, s2), "each picture is order-compatible")
         _require(lift(project(p, INT), s1, s2, INT) == p, "Int projection lifts back")
         _require(lift(project(p, BIN), s1, s2, BIN) == p, "Bin projection lifts back")
 
@@ -518,7 +523,8 @@ def suite_schutzenberger(rng):
 
 
 def suite_pictures(rng):
-    """Picture counts match LR counts; project/lift round-trip."""
+    """Picture counts match the LR members of the tableau side; pictures
+    are distinct and valid; project/lift round-trip."""
     shapes = skew_shapes(3)
     for _ in range(15):
         check_pictures(rng.choice(shapes), rng.choice(shapes))

@@ -1,9 +1,10 @@
 """Shared golden data: the running tableau, its encodings, and the
 matrices of the worked decomposition examples; `until_none` and `climb`,
 move loops capped so that a move that changes nothing fails them;
-`outcome`, which the oracle comparisons use; `matrices`, the hypothesis
-strategy of small binary and integral matrices; `all_binary` and
-`all_integral`, every matrix of a box."""
+`outcome`, which the oracle comparisons use; `LR_PAIRS_10_TO_15`, skew
+shape pairs with their LR counts; `matrices`, the hypothesis strategy of
+small binary and integral matrices; `all_binary` and `all_integral`, every
+matrix of a box."""
 
 import itertools
 
@@ -121,6 +122,21 @@ M2X9 = IntegralMatrix([
     [1, 2, 1, 3, 3, 1, 2, 4, 0],
     [2, 1, 1, 4, 2, 0, 5, 2, 0],
 ])
+
+# skew shape pairs of weights 10 to 15 with their LR counts, which the
+# Kostka and brute stages give independently of the LR filling search
+LR_PAIRS_10_TO_15 = [
+    ("7,4,2,1/4", "5,4,3,1/3", 6),
+    ("7,4,2,2/4", "6,4,2,2/2,1", 8),
+    ("5,4,4,2,1/3,1", "6,4,3,2/3", 11),
+    ("6,4,4,1,1/2,1", "6,6,3,1,1/3,1", 9),
+    ("6,6,3,2/2,1", "7,4,4,2/2,1", 4),
+    ("5,4,4,3,3/2,1,1", "6,4,4,3,2/2,2", 9),
+    ("6,5,4,3,2,1/3,2,1", "6,5,4,3,2,1/3,2,1", 1112),
+    # narrow least binary boxes: (9, 2) and (3, 9)
+    ("2,2,2,2,2,2,1,1/1,1", "3,2,2,2,2,1,1,1,1/2,1", 3),
+    ("9,4,1,1/3,1", "8,4,3/3,1", 9),
+]
 
 
 def all_binary(h, w):

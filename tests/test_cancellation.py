@@ -47,7 +47,7 @@ from doublecrystal.shapes import (
 )
 from doublecrystal.verify import check_involution_pairing, check_stage_agreement, skew_shapes
 
-from conftest import all_binary, all_integral
+from conftest import LR_PAIRS_10_TO_15, all_binary, all_integral
 
 
 class TestEdgeSymbol:
@@ -264,18 +264,7 @@ def test_lr_count_matches_the_tableau_oracle():
                 str(s1), str(s2), mode)
 
 
-@pytest.mark.parametrize("s1,s2,want", [
-    ("7,4,2,1/4", "5,4,3,1/3", 6),
-    ("7,4,2,2/4", "6,4,2,2/2,1", 8),
-    ("5,4,4,2,1/3,1", "6,4,3,2/3", 11),
-    ("6,4,4,1,1/2,1", "6,6,3,1,1/3,1", 9),
-    ("6,6,3,2/2,1", "7,4,4,2/2,1", 4),
-    ("5,4,4,3,3/2,1,1", "6,4,4,3,2/2,2", 9),
-    ("6,5,4,3,2,1/3,2,1", "6,5,4,3,2,1/3,2,1", 1112),
-    # narrow least binary boxes: (9, 2) and (3, 9)
-    ("2,2,2,2,2,2,1,1/1,1", "3,2,2,2,2,1,1,1,1/2,1", 3),
-    ("9,4,1,1/3,1", "8,4,3/3,1", 9),
-])
+@pytest.mark.parametrize("s1,s2,want", LR_PAIRS_10_TO_15)
 def test_lr_count_matches_the_kostka_stages_at_weights_10_to_15(s1, s2, want):
     # tab_first and lr_first are sums of Kostka numbers and brute a sum of
     # margin counts, each independent of the LR filling search; every stage

@@ -361,15 +361,6 @@ def test_weight_law():
             assert size(kappa) == size(mu) + size(nu) - size(lam) + m
 
 
-def test_dual_datum_dispatcher():
-    from doublecrystal.growth import BACKWARD, FORWARD, dual_datum
-
-    assert dual_datum(ROW_INSERTION, FORWARD, lam=(5, 3, 2), mu=(6, 3, 3, 1, 1),
-                      nu=(6, 3, 2, 2), bit=1) == (7, 4, 3, 2, 1, 1)
-    assert dual_datum(ROW_INSERTION, BACKWARD, mu=(6, 3, 3, 1, 1),
-                      nu=(6, 3, 2, 2), kappa=(7, 4, 3, 2, 1, 1)) == ((5, 3, 2), 1)
-
-
 # The literal binary shape datum, kept as an oracle: optional squares read
 # off the conjugates, a scan of T per square of S, the obligatory squares
 # looked up cell by cell and the new cells added one at a time.

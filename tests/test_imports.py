@@ -104,7 +104,7 @@ def test_core_commands_load_only_the_core(inputs, argv):
     (["burge", "mint.txt"], ["insertion"]),
     (["dual", "t.txt"], ["schutzenberger"]),
     (["scalar", "--mode", "binary", "--stage", "brute", "--shape1", "2,1", "--shape2", "2,1",
-      "--trace"], ["cancellation"]),
+      "--trace"], ["cancellation", "pictures"]),
     (["pictures", "enumerate", "--dom", "2,1", "--cod", "2,1"], ["pictures"]),
     (["verify", "moves"], sorted(LAZY + ("verify",))),
 ], ids=["growth", "burge", "dual", "scalar", "pictures", "verify"])

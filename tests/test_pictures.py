@@ -19,7 +19,11 @@ from doublecrystal.pictures import (
     BIN,
     INT,
     LiftError,
+    Picture,
     SizeError,
+    _le_ne,
+    _le_nw,
+    _lr_fillings,
     enumerate_pictures,
     lift,
     project,
@@ -28,7 +32,47 @@ from doublecrystal.pictures import (
 from doublecrystal.shapes import SkewShape
 from doublecrystal.verify import check_pictures, skew_shapes
 
-from conftest import M_BIN, M_INT, outcome
+from conftest import LR_PAIRS_10_TO_15, M_BIN, M_INT, outcome
+
+
+def oracle_enumerate_pictures(dom, cod):
+    """All pictures dom -> cod by backtracking over images."""
+    if dom.weight != cod.weight:
+        return []
+    dom_cells = list(dom.cells())
+    cod_cells = list(cod.cells())
+    out = []
+    assigned = {}
+    used = set()
+
+    def ok(s, t):
+        for s2, t2 in assigned.items():
+            if _le_nw(s, s2) and not _le_ne(t, t2):
+                return False
+            if _le_nw(s2, s) and not _le_ne(t2, t):
+                return False
+            if _le_nw(t, t2) and not _le_ne(s, s2):
+                return False
+            if _le_nw(t2, t) and not _le_ne(s2, s):
+                return False
+        return True
+
+    def rec(idx):
+        if idx == len(dom_cells):
+            out.append(Picture(dom, cod, tuple(assigned.items())))
+            return
+        s = dom_cells[idx]
+        for t in cod_cells:
+            if t in used or not ok(s, t):
+                continue
+            assigned[s] = t
+            used.add(t)
+            rec(idx + 1)
+            del assigned[s]
+            used.discard(t)
+
+    rec(0)
+    return out
 
 
 def test_single_square():
@@ -152,3 +196,32 @@ def test_picture_text():
     one = SkewShape((1,))
     p = enumerate_pictures(one, one)[0]
     assert p.to_text() == "0,0 -> 0,0"
+
+
+def test_enumerate_pictures_matches_the_backtracking_oracle():
+    # every pair of skew shapes with outer partitions of at most 5 cells,
+    # order included: the lifted LR fillings sorted by mapping come out in
+    # the order the backtracker assigns images
+    shapes = skew_shapes(5)
+    found = 0
+    for s1 in shapes:
+        for s2 in shapes:
+            pics = enumerate_pictures(s1, s2)
+            assert pics == oracle_enumerate_pictures(s1, s2), (s1, s2)
+            found += len(pics)
+    assert found == 1953
+
+
+@pytest.mark.parametrize("s1,s2,want", LR_PAIRS_10_TO_15)
+def test_lr_fillings_give_the_pictures_at_weights_10_to_15(s1, s2, want):
+    # past the enumeration cap: the fillings give as many distinct pictures
+    # as the Kostka stages count, each order-compatible and the lift of its
+    # Int and its Bin projection
+    s1, s2 = SkewShape.parse(s1), SkewShape.parse(s2)
+    pics = {Picture(s1, s2, mapping)
+            for mapping in _lr_fillings(s1.outer, s1.inner, s2.outer, s2.inner)}
+    assert len(pics) == want
+    for p in pics:
+        assert validate(p.mapping, s1, s2)
+        assert lift(project(p, INT), s1, s2, INT) == p
+        assert lift(project(p, BIN), s1, s2, BIN) == p
