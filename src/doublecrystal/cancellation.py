@@ -22,10 +22,14 @@ skew Kostka number does not change when the content is permuted; zero
 parts carry nothing either.  So `_kostka` and `_margin_count` fill their
 caches keyed by the sorted nonzero parts, and the stages sum the symbols of
 the compositions sharing those parts before they count (`_content_support`).
-A margin fill takes the first row a block of equal column sums at a time,
-once per multiset of the block's entries, weighted by the number of ways to
-place it (`_margin_fill`).  tab_first and lr_first weight the symbols by
-Kostka numbers instead of margin counts.
+A matrix and its transpose are counted alike in both modes, so a margin
+pair and its transpose share one count, filled with the longer key as the
+rows.  A margin fill takes the first row a block of equal column sums at a
+time, once per multiset of the block's entries, weighted by the number of
+ways to place it (`_margin_fill`).  tab_first and lr_first weight the
+symbols by Kostka numbers instead of margin counts.  The binary stages and
+the tableau involution read conjugate shapes, each conjugated once per
+partition (`_conjugate`).
 
 `lr_count`, which is also the fully_reduced stage, counts the fillings of
 the pruned Littlewood-Richardson filling search, `pictures._lr_fillings`,
@@ -141,6 +145,14 @@ def _chains(inner, outer, weights) -> tuple:
     return tuple(chain for p, chain in layer if p == outer)
 
 
+@lru_cache(maxsize=None)
+def _conjugate(lam) -> tuple:
+    """`conjugate` of a trimmed partition, computed once per partition:
+    the binary stages and the tableau involution read the conjugates of
+    the same few shapes over and over."""
+    return conjugate(lam)
+
+
 def _sorted_parts(parts) -> tuple:
     """The nonzero parts, largest first: the cache key of a count that
     neither the order of the parts nor a zero part changes."""
@@ -239,12 +251,21 @@ def _margin_count(mode, rs, cs):
     entry, so the matrices are counted once per key of the nonzero row sums
     and the nonzero column sums, each sorted largest first (`_margin_fill`,
     whose recursion keys the rows left and the column sums left the same
-    way); the cache on the arguments as given makes a repeated call one
-    lookup.
+    way).  Transposing swaps the row and column sums and keeps the count
+    in both modes (Stanley, EC2, Props. 7.4.1 and 7.5.1), so the key that
+    is larger in (length, parts) order is taken as the rows, and (rs, cs)
+    and (cs, rs) fill one entry.  The longer key as the rows leaves fewer
+    column sums to fill each row over: on the brute sums at weights 20 and
+    21 it made up to two thirds fewer calls than the shorter key as the
+    rows.  The cache on the arguments as given makes a repeated call
+    one lookup.
     """
     if sum(rs) != sum(cs):
         return 0
-    return _margin_fill(mode, _sorted_parts(rs), _sorted_parts(cs))
+    rs, cs = _sorted_parts(rs), _sorted_parts(cs)
+    if (len(rs), rs) < (len(cs), cs):
+        rs, cs = cs, rs
+    return _margin_fill(mode, rs, cs)
 
 
 @lru_cache(maxsize=None)
@@ -336,7 +357,7 @@ def _stage_value(shape1, shape2, stage, mode, box):
         return 0
     if stage == BRUTE:
         if mode == BINARY:
-            f_sup = _content_support(conjugate(kap), conjugate(lam), n, w)  # on column sums
+            f_sup = _content_support(_conjugate(kap), _conjugate(lam), n, w)  # on column sums
             g_sup = _content_support(mu, nu, n, h)  # on row sums
         else:
             f_sup = _content_support(kap, lam, n, h)  # on row sums
@@ -366,8 +387,8 @@ def _stage_value(shape1, shape2, stage, mode, box):
             # BL members rotate to encodings of tableaux of the conjugate
             # shape, with the column sums reversed into the w slots (the
             # Kostka number does not see the order)
-            sup = _content_support(conjugate(kap), conjugate(lam), n, w)
-            inner, outer = conjugate(mu), conjugate(nu)
+            sup = _content_support(_conjugate(kap), _conjugate(lam), n, w)
+            inner, outer = _conjugate(mu), _conjugate(nu)
             return sum(s * _kostka(inner, outer, alpha) for alpha, s in sup)
         if len(nu) > w:
             return 0
@@ -449,7 +470,7 @@ def involution(m: Matrix, shape: SkewShape, which: str, mode: str | None = None)
         if m.binary:
             rot = m.rotate_cw()
             out = involution(
-                rot, SkewShape(conjugate(shape.outer), conjugate(shape.inner)), LR
+                rot, SkewShape(_conjugate(shape.outer), _conjugate(shape.inner)), LR
             )
             return out.rotate_ccw()
         out = involution(m.transpose(), shape, LR)

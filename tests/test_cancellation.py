@@ -17,6 +17,7 @@ from doublecrystal.cancellation import (
     _least_box,
     _lr_search,
     _margin_count,
+    _margin_fill,
     _stage_value,
     _symbol_support,
     alternating_sum,
@@ -216,6 +217,28 @@ def test_margin_count_matches_enumeration():
                             mode, rs, cs)
 
 
+def random_composition(rng, total):
+    """A composition of total into 1 to 8 parts, zero parts allowed."""
+    cuts = sorted(rng.randint(0, total) for _ in range(rng.randint(0, 7)))
+    return tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+
+
+def test_margin_count_of_the_transpose():
+    # transposing swaps the margins and keeps the count in both modes, so
+    # the second order of a pair reads the entry the first one filled
+    rng = random.Random(5)
+    for mode in (BINARY, INTEGRAL):
+        for _ in range(60):
+            total = rng.randint(0, 21)
+            rs, cs = random_composition(rng, total), random_composition(rng, total)
+            _margin_count.cache_clear()
+            _margin_fill.cache_clear()
+            want = _margin_count(mode, rs, cs)
+            misses = _margin_fill.cache_info().misses
+            assert _margin_count(mode, cs, rs) == want, (mode, rs, cs)
+            assert _margin_fill.cache_info().misses == misses, (mode, rs, cs)
+
+
 def test_stage_agreement_and_lr_count():
     rng = random.Random(0)
     shapes = skew_shapes(4)
@@ -275,6 +298,18 @@ def test_lr_count_matches_the_kostka_stages_at_weights_10_to_15(s1, s2, want):
         for stage in STAGES:
             assert alternating_sum(s1, s2, stage, mode, _least_box(s1, s2, mode)) == want, (
                 mode, stage)
+
+
+def test_stages_agree_at_weight_20():
+    # the brute stage's margin counts at weight 20, at the least box of
+    # each mode: binary (4, 8), integral (4, 4)
+    s = SkewShape.parse("8,7,6,5/3,2,1")
+    assert lr_count(s, s, BINARY) == 72
+    for mode in (BINARY, INTEGRAL):
+        box = _least_box(s, s, mode)
+        assert box == ((4, 8) if mode == BINARY else (4, 4))
+        for stage in STAGES:
+            assert alternating_sum(s, s, stage, mode, box) == 72, (mode, stage)
 
 
 @pytest.mark.parametrize("s1,s2", [("2,1", "3"), ("2,1", "2,1"), ("1", "2,1")])

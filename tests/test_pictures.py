@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from doublecrystal.cancellation import lr_count
+from doublecrystal.cancellation import BRUTE, _least_box, alternating_sum, lr_count
 from doublecrystal.matrices import (
     BINARY,
     INTEGRAL,
@@ -169,7 +169,10 @@ def test_counts_match_lr_count_and_roundtrip():
     rng.shuffle(pairs)
     for s1, s2 in pairs[:80]:
         check_pictures(s1, s2)
-        assert lr_count(s1, s2, INTEGRAL) == lr_count(s1, s2, BINARY)
+        for mode in (BINARY, INTEGRAL):
+            box = tuple(max(side, 1) for side in _least_box(s1, s2, mode))
+            assert lr_count(s1, s2, mode) == alternating_sum(s1, s2, BRUTE, mode, box), (
+                str(s1), str(s2), mode)
         for p in enumerate_pictures(s1, s2):
             mi, mb = project(p, INT), project(p, BIN)
             assert condition(mi, s1, TABLEAU, INTEGRAL) and condition(mi, s2, LR, INTEGRAL)
