@@ -7,21 +7,25 @@ local rules from empty borders, with optional per-cell verification
 against direct normalization.
 
 Each forward rule has one implementation (_burge, _rsk, _dual) on trimmed
-int tuples: it pads them once and makes one pass over the rows, checking
-both strip relations row by row and building kappa as it goes; _dual
-spots and matches the optional squares in the same pass.  The strip
-relations, a nonnegative entry and a bit of 0 or 1 are the only
-ShapeDatumError checks: past them every optional square finds its match
-and kappa is a partition.  The public rules trim their inputs and call it;
-growth_diagram calls it on its stored shapes, which are already trimmed
-rule outputs.
+int tuples: it pads each of them inline with zeros to one length, one
+longer than the longest, and makes one pass over the rows, checking both
+strip relations row by row and building kappa as a list, whose trailing
+zeros it pops before the one tuple() it returns; _dual spots and matches
+the optional squares in the same pass (a row with nu_i < mu_i holds
+neither).  The strip relations, a nonnegative entry and a bit of 0 or 1
+are the only ShapeDatumError checks: past them every optional square
+finds its match and kappa is a partition.  The public rules trim their
+inputs and call it; growth_diagram calls it on its stored shapes, which
+are already trimmed rule outputs.
 
-Each backward rule (burge_backward, rsk_backward, dual_backward) checks
-the strip relations of mu and nu below kappa, its only input check, and
-then makes one pass: those relations already make mu, nu and kappa
-partitions and the result the forward rule's preimage, so nothing is
-re-checked and the forward rule is not re-run.  dual_backward meets and
-matches the optional squares in its pass as _dual does.
+Each backward rule (burge_backward, rsk_backward, dual_backward) trims
+its inputs and pads them inline as the forward rules do, checks the strip
+relations of mu and nu below kappa, its only input check, and then makes
+one pass, popping the trailing zeros off lam: those relations already
+make mu, nu and kappa partitions and the result the forward rule's
+preimage, so nothing is re-checked and the forward rule is not re-run.
+dual_backward meets and matches the optional squares in its pass as _dual
+does.
 """
 
 from itertools import count
@@ -31,7 +35,7 @@ from operator import add, ge, le, sub
 from .decomposition import normal_form
 from .matrices import NE, NW, ORIENTATIONS, SE, SW, BinaryMatrix, IntegralMatrix, Matrix
 from .shapes import (
-    Frozen, Partition, padded, part, revert, trim,
+    Frozen, Partition, part, revert, trim,
 )
 
 ROW_INSERTION = "row_insertion"
@@ -65,7 +69,8 @@ def _burge(lam, mu, nu, m: int, trace=None) -> Partition:
     if m < 0:
         raise ShapeDatumError("entry must be nonnegative")
     n = max(len(lam), len(mu), len(nu)) + 1
-    lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
+    lp = lam + (0,) * (n - len(lam))
+    mp, np_ = mu + (0,) * (n - len(mu)), nu + (0,) * (n - len(nu))
     # i runs down to 1 with l = lam_i and above = lam_{i-1}; row i checks
     # lam_i <= mu_i, nu_i <= lam_{i-1}, row 0 the rest of both strips
     c, l, kappa = m, 0, [0] * n
@@ -83,7 +88,9 @@ def _burge(lam, mu, nu, m: int, trace=None) -> Partition:
     if not (l <= p and l <= q):
         raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
     kappa[0] = p + q - l + c
-    return trim(kappa)
+    while kappa and not kappa[-1]:
+        kappa.pop()
+    return tuple(kappa)
 
 
 def burge_forward(lam, mu, nu, m: int, with_trace: bool = False):
@@ -106,7 +113,8 @@ def burge_backward(mu, nu, kappa) -> tuple[Partition, int]:
     """
     mu, nu, kappa = trim(mu), trim(nu), trim(kappa)
     n = max(len(mu), len(nu), len(kappa)) + 1
-    mp, np_, kp = padded(mu, n), padded(nu, n), padded(kappa, n)
+    mp, np_ = mu + (0,) * (n - len(mu)), nu + (0,) * (n - len(nu))
+    kp = kappa + (0,) * (n - len(kappa))
     if not (_h_le(mp, kp) and _h_le(np_, kp)):
         raise ShapeDatumError(f"need mu <=h kappa and nu <=h kappa: {mu}, {nu}, {kappa}")
     c = 0
@@ -116,7 +124,9 @@ def burge_backward(mu, nu, kappa) -> tuple[Partition, int]:
         d = a + b - k - c
         lam.append(max(d, k_next))
         c = lam[-1] - d
-    return trim(lam), c
+    while lam and not lam[-1]:
+        lam.pop()
+    return tuple(lam), c
 
 
 def _rsk(lam, mu, nu, m: int) -> Partition:
@@ -128,7 +138,8 @@ def _rsk(lam, mu, nu, m: int) -> Partition:
     # x_{i+1} = min(mu_i, nu_i) - lam_i; row i checks
     # lam_i <= mu_i, nu_i <= lam_{i-1}
     x, above, kappa = m, inf, []
-    for l, p, q in zip(padded(lam, n), padded(mu, n), padded(nu, n)):
+    for l, p, q in zip(lam + (0,) * (n - len(lam)), mu + (0,) * (n - len(mu)),
+                       nu + (0,) * (n - len(nu))):
         if not (l <= p <= above and l <= q <= above):
             raise ShapeDatumError(f"need lam <=h mu and lam <=h nu: {lam}, {mu}, {nu}")
         if p < q:
@@ -138,7 +149,9 @@ def _rsk(lam, mu, nu, m: int) -> Partition:
             kappa.append(x + p)
             x = q - l
         above = l
-    return trim(kappa)
+    while kappa and not kappa[-1]:
+        kappa.pop()
+    return tuple(kappa)
 
 
 def rsk_forward(lam, mu, nu, m: int) -> Partition:
@@ -150,12 +163,15 @@ def rsk_backward(mu, nu, kappa) -> tuple[Partition, int]:
     """Inverse of the RSK shape datum."""
     mu, nu, kappa = trim(mu), trim(nu), trim(kappa)
     n = max(len(mu), len(nu), len(kappa)) + 1
-    mp, np_, kp = padded(mu, n), padded(nu, n), padded(kappa, n)
+    mp, np_ = mu + (0,) * (n - len(mu)), nu + (0,) * (n - len(nu))
+    kp = kappa + (0,) * (n - len(kappa))
     if not (_h_le(mp, kp) and _h_le(np_, kp)):
         raise ShapeDatumError(f"need mu <=h kappa and nu <=h kappa: {mu}, {nu}, {kappa}")
     # lam_i = min(mu_i, nu_i) + max(mu_{i+1}, nu_{i+1}) - kappa_{i+1}
-    lam = trim(map(sub, map(add, map(min, mp, np_), map(max, mp[1:], np_[1:])), kp[1:]))
-    return lam, kp[0] - max(mp[0], np_[0])
+    lam = [*map(sub, map(add, map(min, mp, np_), map(max, mp[1:], np_[1:])), kp[1:])]
+    while lam and not lam[-1]:
+        lam.pop()
+    return tuple(lam), kp[0] - max(mp[0], np_[0])
 
 
 def _dual(lam, mu, nu, bit: int, flavor: str) -> Partition:
@@ -173,32 +189,35 @@ def _dual(lam, mu, nu, bit: int, flavor: str) -> Partition:
     if bit not in (0, 1):
         raise ShapeDatumError("bit must be 0 or 1")
     n = max(len(lam), len(mu), len(nu)) + 1
-    lp, mp, np_ = padded(lam, n), padded(mu, n), padded(nu, n)
+    np_ = nu + (0,) * (n - len(nu))
     fifo = flavor == ROW_INSERTION  # an unknown flavor is matched as columns
     kappa = []
-    s_rows = []  # row insertion: the S rows, waiting from s_rows[head] on
+    s_rows = []  # row insertion: whether each S is obligatory, waiting from s_rows[head] on
     t_rows = []  # the unmatched T rows; column insertion: the stack
     head = 0
     pl = above = inf  # lam_{i-1}, mu_{i-1}
-    for i, l, m, a, b in zip(count(), lp, mp, np_, np_[1:] + (0,)):
+    for l, m, a, b in zip(lam + (0,) * (n - len(lam)), mu + (0,) * (n - len(mu)),
+                          np_, np_[1:] + (0,)):
         # lam <=h nu, which makes lam weakly decreasing, and lam <=v mu
         if not (l <= a <= pl and l <= m <= l + 1 and m <= above):
             raise ShapeDatumError(f"need lam <=v mu and lam <=h nu: {lam}, {mu}, {nu}")
-        k = m if a < m else a
-        if m <= a < above:  # T = (i, a)
-            if fifo and head < len(s_rows):
-                s = s_rows[head]
-                head += 1
-                k += lp[s] < mp[s]
-            else:
-                t_rows.append(i)
-        kappa.append(k)
-        if a >= m > b:  # S = (i, m - 1)
-            if fifo:
-                s_rows.append(i)
-            else:
-                # the stack holds rows up to i only: T is weakly above S
-                kappa[t_rows.pop()] += l < m
+        if a < m:  # no T and no S: kappa_i = mu_i
+            kappa.append(m)
+        else:  # kappa_i = nu_i, plus one for a T matched to an obligatory S
+            k = a
+            if a < above:  # T = (i, a)
+                if fifo and head < len(s_rows):
+                    k += s_rows[head]
+                    head += 1
+                else:
+                    t_rows.append(len(kappa))  # row i
+            kappa.append(k)
+            if m > b:  # S = (i, m - 1)
+                if fifo:
+                    s_rows.append(l < m)
+                else:
+                    # the stack holds rows up to i only: T is weakly above S
+                    kappa[t_rows.pop()] += l < m
         pl, above = l, m
     # past the strip relations every S finds its T, exactly one T is left
     # unmatched and kappa is a partition; only an unknown flavor fails
@@ -232,7 +251,8 @@ def dual_backward(mu, nu, kappa, flavor: str) -> tuple[Partition, int]:
     """
     mu, nu, kappa = trim(mu), trim(nu), trim(kappa)
     n = max(len(mu), len(nu), len(kappa)) + 1
-    mp, np_, kp = padded(mu, n), padded(nu, n), padded(kappa, n)
+    mp, np_ = mu + (0,) * (n - len(mu)), nu + (0,) * (n - len(nu))
+    kp = kappa + (0,) * (n - len(kappa))
     if not (_h_le(mp, kp) and _v_le(np_, kp)):
         raise ShapeDatumError(f"need mu <=h kappa and nu <=v kappa: {mu}, {nu}, {kappa}")
     if flavor not in (ROW_INSERTION, COL_INSERTION):
@@ -262,7 +282,9 @@ def dual_backward(mu, nu, kappa, flavor: str) -> tuple[Partition, int]:
         above = m
     if not fifo:
         t0 = waiting[0]
-    return trim(lam), int(kp[t0] > np_[t0])
+    while lam and not lam[-1]:
+        lam.pop()
+    return tuple(lam), int(kp[t0] > np_[t0])
 
 
 class GrowthDiagram(Frozen):
@@ -318,7 +340,9 @@ def growth_diagram(m: Matrix, orientation: str = NW, verify: bool = False) -> Gr
         for l in range(w) if west else range(w - 1, -1, -1):
             c, d = l + 1 - west, l + west
             kappa_row[d] = rule(lam_row[c], lam_row[d], kappa_row[c], row[l], *extra)
-    gd = GrowthDiagram(orientation, tuple(tuple(r) for r in grid), mt)
+    # at its exact size: a generator-built tuple is resized, and the resized
+    # tuples fill CPython's tuple free lists when freed
+    gd = GrowthDiagram(orientation, tuple([*map(tuple, grid)]), mt)
     if verify:
         for i in range(h + 1):
             for j in range(w + 1):

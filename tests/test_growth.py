@@ -270,6 +270,11 @@ def test_growth_decomposition_small_and_at_side_64():
             check_growth_decomposition(random_matrix(random.Random(seed), binary, 64, 64))
 
 
+def test_growth_decomposition_binary_96x128():
+    # a tall binary case: 97 x 129 grid points, the column-insertion fill
+    check_growth_decomposition(random_matrix(random.Random(96), True, 96, 128))
+
+
 def test_growth_border_readouts():
     # NW integral: bottom border = chain of S (encoded by P), right = Lbar
     gd = growth_diagram(M_INT, NW)
@@ -588,10 +593,11 @@ def test_backward_checks_after_the_strip_relations_never_fire():
     assert (integral, binary) == (1755, 1398)
 
 
-def _reference_grid(m, orientation):
-    """The grid of growth_diagram point by point, each through the public
-    rule on its three neighbours towards the orientation's corner, with
-    trailing zeros appended to every shape fed in."""
+def _reference_grid(m, orientation, burge=burge_forward, rsk=rsk_forward, dual=dual_forward):
+    """The grid of growth_diagram point by point, each through the given
+    rule (by default the public one) on its three neighbours towards the
+    orientation's corner, with trailing zeros appended to every shape fed
+    in."""
     mt = m.trimmed()
     h, w = mt.height, mt.width
     di = -1 if orientation in (NW, NE) else 1
@@ -600,9 +606,9 @@ def _reference_grid(m, orientation):
         flavor = ROW_INSERTION if orientation in (NW, SE) else COL_INSERTION
 
         def rule(lam, mu, nu, e):
-            return dual_forward(lam, mu, nu, e, flavor)
+            return dual(lam, mu, nu, e, flavor)
     else:
-        rule = burge_forward if orientation in (NW, SE) else rsk_forward
+        rule = burge if orientation in (NW, SE) else rsk
     shapes = {}
 
     def shape(i, j):
@@ -632,6 +638,22 @@ def test_growth_diagram_matches_public_rules_on_untrimmed_shapes():
             grid = growth_diagram(m, o).grid
             assert grid == _reference_grid(m, o)
             assert all(not s or s[-1] for row in grid for s in row)
+
+
+def test_growth_diagram_matches_oracle_rules_at_side_24():
+    # one seeded random matrix per mode at the benchmark's smallest side,
+    # every point of all four orientations against the oracle rules
+    for seed, binary in ((24, False), (25, True)):
+        m = random_matrix(random.Random(seed), binary, 24, 24)
+        for o in ORIENTATIONS:
+            grid = growth_diagram(m, o).grid
+            ref = _reference_grid(m, o, oracle_burge_forward, oracle_rsk_forward,
+                                  oracle_dual_forward)
+            assert len(grid) == len(ref) == m.trimmed().height + 1
+            for i, (row, ref_row) in enumerate(zip(grid, ref)):
+                assert len(row) == len(ref_row)
+                for j, (shape, ref_shape) in enumerate(zip(row, ref_row)):
+                    assert shape == ref_shape, (binary, o, i, j)
 
 
 def test_shape_datum_error_messages():
