@@ -349,6 +349,8 @@ def _lr_search(lam, kap, nu, mu) -> int:
 
 
 def _stage_value(shape1, shape2, stage, mode, box):
+    """One stage's alternating sum in the box, which must cover both
+    targets (see _least_box)."""
     h, w = box
     lam, kap = shape1.outer, shape1.inner
     nu, mu = shape2.outer, shape2.inner
@@ -370,36 +372,20 @@ def _stage_value(shape1, shape2, stage, mode, box):
         return total
     if stage == TAB_FIRST:
         # sum of the LR-side symbol over tableau-condition matrices in the box
-        if mode == BINARY:
-            if part(lam, 0) > w:
-                return 0
-            sup = _content_support(mu, nu, n, h)
-        elif len(lam) > h:
-            return 0
-        else:
-            sup = _content_support(mu, nu, n, w)
+        sup = _content_support(mu, nu, n, h if mode == BINARY else w)
         return sum(s * _kostka(kap, lam, alpha) for alpha, s in sup)
     if stage == LR_FIRST:
         # sum of the tableau-side symbol over LR-condition matrices in the box
         if mode == BINARY:
-            if len(nu) > h:
-                return 0
             # BL members rotate to encodings of tableaux of the conjugate
             # shape, with the column sums reversed into the w slots (the
             # Kostka number does not see the order)
             sup = _content_support(_conjugate(kap), _conjugate(lam), n, w)
             inner, outer = _conjugate(mu), _conjugate(nu)
             return sum(s * _kostka(inner, outer, alpha) for alpha, s in sup)
-        if len(nu) > w:
-            return 0
         sup = _content_support(kap, lam, n, h)
         return sum(s * _kostka(mu, nu, alpha) for alpha, s in sup)
     if stage == FULLY_REDUCED:
-        if mode == BINARY:
-            if part(lam, 0) > w or len(nu) > h:
-                return 0
-        elif len(lam) > h or len(nu) > w:
-            return 0
         return _lr_search(lam, kap, nu, mu)
     raise ValueError(f"unknown stage: {stage}")
 
@@ -450,9 +436,7 @@ def alternating_sum(shape1: SkewShape, shape2: SkewShape, stage: str, mode: str,
 
 def _ladder_apply(m, d, raise_dir, lower_dir, index):
     """e^d(m) along the ladder at index: d raising moves, or -d lowering."""
-    rows = [list(r) for r in m.rows]
-    (cb if m.binary else ci).ladder_runs(rows, raise_dir if d > 0 else lower_dir, index, abs(d))
-    return type(m)._from_lists(rows)
+    return (cb if m.binary else ci).climb(m, raise_dir if d > 0 else lower_dir, index, abs(d))[0]
 
 
 def involution(m: Matrix, shape: SkewShape, which: str, mode: str | None = None) -> Matrix:

@@ -22,14 +22,16 @@ flips the first k bits left on the stack.  With it stay `MoveRecord`,
 an independent check.
 
 The ladder API is written here once for both crystals: `_kernel` builds
-`potential`, `ladder_runs`, `ladder` and `move` of a mode module on the
-module's own `_climb`, `_units` and `_records`.  Each climbs the pair
-once: `potential` on copies of its lines, the others a row pair in place
-and a column pair as two lists written back.  `_climb_pair` climbs a pair
-of a list of line lists, growing it by the line the moves fill; the
-exhaustion sweep and `compose` call it directly on row lists.
-The reference reading, the full bracket string of a pair, lives in the
-tests, which compare it with the scan.
+`potential`, `climb`, `ladder` and `move` of a mode module on the
+module's own `_climb`, `_units` and `_records`.  Each climbs copies of
+the pair's two lines once; `climb` replaces just those two lines and
+shares every row tuple the moves leave unchanged with its input (for a
+row pair, every other row), and `ladder` and `move` are `climb` plus
+their checks and records.  `_climb_pair` climbs a pair of a list of line
+lists, growing it by the line the moves fill; the exhaustion sweep and
+`compose` call it directly on row lists.  The reference reading, the full
+bracket string of a pair, lives in the tests, which compare it with the
+scan.
 """
 
 import sys
@@ -150,10 +152,10 @@ def _climb_pair(climb, lines: list, index: int, raising: bool, k: Optional[int] 
 
 
 def _kernel(mode, matrix_class, upward: bool):
-    """`potential`, `ladder_runs`, `ladder` and `move` of a mode module, on
-    its `_climb`, `_units` (the units of what `_climb` moved) and
-    `_records`, read from the module at each call.  upward: a column pair
-    is read bottom to top, else top to bottom."""
+    """`potential`, `climb`, `ladder` and `move` of a mode module, on its
+    `_climb`, `_units` (the units of what `_climb` moved) and `_records`,
+    read from the module at each call.  upward: a column pair is read
+    bottom to top, else top to bottom."""
 
     def lines(rows, d: str, index: int) -> tuple[list, list]:
         """Copies of the two lines of the pair at index in reading order,
@@ -179,24 +181,26 @@ def _kernel(mode, matrix_class, upward: bool):
         pair that its moves flip."""
         return mode._units(mode._climb(*lines(m.rows, d, index), d in (UP, LEFT)))
 
-    def ladder_runs(rows: list, d: str, index: int, k: Optional[int] = None) -> list:
+    def climb(m, d: str, index: int, k: Optional[int] = None) -> tuple:
         """Climb the first k units (all when k is None or exceeds them) of
-        the d-ladder at index in place on a list of row lists (a column
-        pair as two lists written back); the rows grow only to the cells
-        the moves fill.  Returns what `_climb` moved, positions in the
-        pair's reading order."""
-        if d in (UP, DOWN) and index >= 0:
-            return _climb_pair(mode._climb, rows, index, d == UP, k)
-        a, b = lines(rows, d, index)  # raises on a bad direction or index
-        moved = mode._climb(a, b, d == LEFT, k)
-        if moved:
-            if index + 1 == len(rows[0]):
-                for r in rows:
-                    r.append(0)
-            for r, x, y in zip(rows[::-1] if upward else rows, a, b):
-                r[index] = x
-                r[index + 1] = y
-        return moved
+        the d-ladder at index on copies of the pair's two lines.  Returns
+        the matrix with those two lines replaced, sharing every row tuple
+        the moves leave unchanged (m itself when nothing moved; the stored
+        rectangle grows only by a line the moves fill), and what `_climb`
+        moved, positions in the pair's reading order."""
+        a, b = lines(m.rows, d, index)
+        moved = mode._climb(a, b, d in (UP, LEFT), k)
+        if not moved:
+            return m, moved
+        if d in (UP, DOWN):
+            rows = m.rows[:index] + (tuple(a), tuple(b)) + m.rows[index + 2:]
+        else:
+            if upward:
+                a.reverse()
+                b.reverse()
+            rows = tuple([r if r[index:index + 2] == (x, y) else r[:index] + (x, y) + r[index + 2:]
+                          for r, x, y in zip(m.rows, a, b)])
+        return matrix_class._wrap(rows), moved
 
     def ladder(m, d: str, index: int, k: Optional[int] = None) -> tuple:
         """Apply the first k moves (None: the whole potential) in direction
@@ -209,22 +213,20 @@ def _kernel(mode, matrix_class, upward: bool):
         """
         if k is not None and k < 0:
             raise ValueError(f"cannot apply {k} moves: the potential is {potential(m, d, index)}")
-        rows = [list(r) for r in m.rows]
-        moved = ladder_runs(rows, d, index, k)
+        out, moved = climb(m, d, index, k)
         if k is not None and mode._units(moved) < k:
             raise ValueError(f"cannot apply {k} moves: the potential is {mode._units(moved)}")
-        return matrix_class._from_lists(rows), tuple(mode._records(d, index, moved, len(rows)))
+        return out, tuple(mode._records(d, index, moved, m.height))
 
     def move(m, d: str, index: int) -> Optional[tuple]:
         """Apply one move in direction d between lines index and index+1;
         None when none is possible."""
-        rows = [list(r) for r in m.rows]
-        moved = ladder_runs(rows, d, index, 1)
+        out, moved = climb(m, d, index, 1)
         if not moved:
             return None
-        return matrix_class._from_lists(rows), mode._records(d, index, moved, len(rows))[0]
+        return out, mode._records(d, index, moved, m.height)[0]
 
-    return potential, ladder_runs, ladder, move
+    return potential, climb, ladder, move
 
 
-potential, ladder_runs, ladder, move = _kernel(sys.modules[__name__], BinaryMatrix, True)
+potential, climb, ladder, move = _kernel(sys.modules[__name__], BinaryMatrix, True)

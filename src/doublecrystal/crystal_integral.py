@@ -16,11 +16,10 @@ bottom), keeps one counter of unmatched brackets, forward for raising
 transfers and backward for lowering ones, and moves each run as the scan
 finds it, or the first k units after the scan.  With it stay
 `TransferRecord`, `_records` and `transfer_legal`, the literal definition
-kept as an independent check.  `potential`, `ladder_runs`, `ladder` and
-`move` are the ladder API of `crystal_binary`, built on this module's
-`_climb`, `_units` and `_records`.  The reference reading, the full
-bracket string of a pair, lives in the tests, which compare it with the
-scan.
+kept as an independent check.  `potential`, `climb`, `ladder` and `move`
+are the ladder API of `crystal_binary`, built on this module's `_climb`,
+`_units` and `_records`.  The reference reading, the full bracket
+string of a pair, lives in the tests, which compare it with the scan.
 """
 
 import sys
@@ -132,4 +131,4 @@ def _records(d: str, index: int, runs: list, h: int) -> list[TransferRecord]:
     return [TransferRecord(d, index, at) for at, n in runs for _ in range(n)]
 
 
-potential, ladder_runs, ladder, move = _kernel(sys.modules[__name__], IntegralMatrix, False)
+potential, climb, ladder, move = _kernel(sys.modules[__name__], IntegralMatrix, False)

@@ -20,22 +20,23 @@ are already trimmed rule outputs.
 
 Each backward rule (burge_backward, rsk_backward, dual_backward) trims
 its inputs and pads them inline as the forward rules do, checks the strip
-relations of mu and nu below kappa, its only input check, and then makes
-one pass, popping the trailing zeros off lam: those relations already
-make mu, nu and kappa partitions and the result the forward rule's
-preimage, so nothing is re-checked and the forward rule is not re-run.
+relations of mu and nu below kappa with the tests behind
+`shapes.strip_le`, its only input check, and then makes one pass,
+popping the trailing zeros off lam: those relations already make mu, nu
+and kappa partitions and the result the forward rule's preimage, so
+nothing is re-checked and the forward rule is not re-run.
 dual_backward meets and matches the optional squares in its pass as _dual
 does.
 """
 
 from itertools import count
 from math import inf
-from operator import add, ge, le, sub
+from operator import add, sub
 
 from .decomposition import normal_form
 from .matrices import NE, NW, ORIENTATIONS, SE, SW, BinaryMatrix, IntegralMatrix, Matrix
 from .shapes import (
-    Frozen, Partition, part, revert, trim,
+    Frozen, Partition, _h_le, _v_le, part, revert, trim,
 )
 
 ROW_INSERTION = "row_insertion"
@@ -49,19 +50,6 @@ class ShapeDatumError(ValueError):
 def implicit_shape(m: Matrix) -> Partition:
     """The partition parametrising the normal form of m."""
     return normal_form(m)
-
-
-def _h_le(a, b) -> bool:
-    """a <=h b for compositions zero-padded to one length, longer than either."""
-    return all(map(le, a, b)) and all(map(le, b[1:], a))
-
-
-def _v_le(a, b) -> bool:
-    """a <=v b for compositions zero-padded to one length, longer than either."""
-    if not (all(map(ge, a, a[1:])) and all(map(ge, b, b[1:]))):
-        return False
-    d = tuple(map(sub, b, a))
-    return 0 <= min(d) and max(d) <= 1
 
 
 def _burge(lam, mu, nu, m: int, trace=None) -> Partition:

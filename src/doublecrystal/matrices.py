@@ -102,7 +102,8 @@ class Matrix:
 
     @classmethod
     def _from_lists(cls, rows):
-        """`_wrap` of canonical row lists, as the crystal ladders edit them.
+        """`_wrap` of canonical row lists, as the exhaustion sweep and
+        `compose` edit them.
 
         Builds the row tuple at its exact size: tuple() over a map guesses
         10 slots and resizes, and the resized tuples, once freed, fill
@@ -274,7 +275,10 @@ def read_json_object(text: str, fields: dict) -> dict:
     """Parse a JSON object holding each key of fields, where fields maps a
     key to (test, wanted); raises InputError naming the first key that is
     missing or whose value fails its test."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise InputError("JSON input is nested too deeply") from None
     if not isinstance(data, dict):
         raise InputError(f"expected a JSON object, got {type(data).__name__}")
     for key, (test, wanted) in fields.items():

@@ -60,35 +60,25 @@ def _partial_row_sums(m, k: int, n: int, suffix: bool):
 def dual(t: Tableau) -> Tableau:
     """The Schutzenberger dual: same weight, opposite (reverse) flavor.
 
-    Forward flavors encode to a raising-exhausted matrix, which is then
-    exhausted downward within its k stored rows; the dual chain is read as
-    reverted partial row sums.  Reverse flavors run the inverse route.
+    A forward flavor encodes to a raising-exhausted matrix, whose column j
+    is chain[j+1] - chain[j] (SST, integral) or chain[j] - chain[j+1]
+    (REVERSE_TRANSPOSE, binary), which is then exhausted downward within
+    its k stored rows; the dual chain is read as reverted partial row sums.
+    A reverse flavor runs the inverse route: it encodes its reverted chain,
+    exhausts upward and reads the partial row sums as they are.
     """
     if not t.is_straight():
         raise ValueError("the dual is defined for straight tableaux")
-    shape = t.outer
-    k = len(shape)
+    k = len(t.outer)
     n = len(t.chain) - 1
-    if t.flavor == SST:
-        # integral encoding: column j = chain[j+1] - chain[j]
-        p = IntegralMatrix(_column_diffs(t.chain, k))
-        pt, _ = _sweep(p, (DOWN,))
-        chain = tuple(revert(c, k) for c in _partial_row_sums(pt, k, n, suffix=True))
-        return Tableau(REVERSE, chain)
-    if t.flavor == REVERSE:
-        ptilde = IntegralMatrix(_column_diffs([revert(c, k) for c in t.chain], k))
-        p, _ = _sweep(ptilde, (UP,))
-        return Tableau(SST, tuple(_partial_row_sums(p, k, n, suffix=False)))
-    if t.flavor == REVERSE_TRANSPOSE:
-        # binary encoding by columns: column j = chain[j] - chain[j+1]
-        p = BinaryMatrix(_column_diffs(t.chain, k))
-        pt, _ = _sweep(p, (DOWN,))
-        chain = tuple(revert(c, k) for c in _partial_row_sums(pt, k, n, suffix=False))
-        return Tableau(TRANSPOSE, chain)
-    # TRANSPOSE
-    ptilde = BinaryMatrix(_column_diffs([revert(c, k) for c in t.chain], k))
-    p, _ = _sweep(ptilde, (UP,))
-    return Tableau(REVERSE_TRANSPOSE, tuple(_partial_row_sums(p, k, n, suffix=True)))
+    forward = t.flavor in (SST, REVERSE_TRANSPOSE)
+    matrix_type = IntegralMatrix if t.flavor in (SST, REVERSE) else BinaryMatrix
+    chain = t.chain if forward else [revert(c, k) for c in t.chain]
+    p, _ = _sweep(matrix_type(_column_diffs(chain, k)), (DOWN,) if forward else (UP,))
+    chain = _partial_row_sums(p, k, n, suffix=t.flavor in (SST, TRANSPOSE))
+    if forward:
+        chain = [revert(c, k) for c in chain]
+    return Tableau(DUAL_FLAVOR[t.flavor], tuple(chain))
 
 
 def rotate_complement(t: Tableau, rect: tuple[int, int]) -> Tableau:

@@ -90,6 +90,19 @@ def conjugate(lam) -> Partition:
     return tuple(out)
 
 
+def _h_le(a, b) -> bool:
+    """a <=h b for compositions zero-padded to one length, longer than either."""
+    return all(map(operator.le, a, b)) and all(map(operator.le, b[1:], a))
+
+
+def _v_le(a, b) -> bool:
+    """a <=v b for compositions zero-padded to one length, longer than either."""
+    if not (all(map(operator.ge, a, a[1:])) and all(map(operator.ge, b, b[1:]))):
+        return False
+    d = tuple(map(operator.sub, b, a))
+    return 0 <= min(d) and max(d) <= 1
+
+
 def strip_le(alpha, beta, kind: str) -> bool:
     """Horizontal (<=h) or vertical (<=v) strip relation between compositions.
 
@@ -97,17 +110,10 @@ def strip_le(alpha, beta, kind: str) -> bool:
     the vertical version is the same test on conjugates, equivalently
     beta - alpha is a 0/1 composition with containment.
     """
-    if kind == HORIZONTAL:
-        n = max(len(alpha), len(beta))
-        a, b = padded(alpha, n), padded(beta, n + 1)
-        return all(map(operator.le, a, b)) and all(map(operator.le, b[1:], a))
-    if kind == VERTICAL:
-        if not (is_partition(alpha) and is_partition(beta)):
-            return False
-        n = max(len(alpha), len(beta))
-        d = tuple(map(operator.sub, padded(beta, n), padded(alpha, n)))
-        return not d or (0 <= min(d) and max(d) <= 1)
-    raise ValueError(f"unknown strip kind: {kind}")
+    if kind not in (HORIZONTAL, VERTICAL):
+        raise ValueError(f"unknown strip kind: {kind}")
+    n = max(len(alpha), len(beta)) + 1
+    return (_h_le if kind == HORIZONTAL else _v_le)(padded(alpha, n), padded(beta, n))
 
 
 def revert(lam, k: int) -> Composition:

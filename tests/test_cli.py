@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublecrystal import cancellation, growth, insertion, verify
 from doublecrystal import crystal_binary as cb
@@ -367,6 +371,10 @@ def test_box_not_covering_targets_exit_1(capsys):
      "0,0 -> 0,1\n0,0 0,1\n", "map line 2: expected 'row,col -> row,col', got '0,0 0,1'"),
     (["pictures", "validate", "--dom", "2,1/0", "--cod", "2,1/0", "--map"],
      "0,x -> 0,1\n", "map line 1: expected 'row,col -> row,col', got '0,x -> 0,1'"),
+    pytest.param(["normal-form"], '{"mode": "binary", "rows": ' + "[" * 100000,
+                 "JSON input is nested too deeply", id="nested-matrix"),
+    pytest.param(["dual"], '{"flavor": "sst", "chain": ' + "[" * 100000,
+                 "JSON input is nested too deeply", id="nested-tableau"),
 ])
 def test_malformed_input_exit_1(tmp_path, capsys, argv, text, message):
     f = tmp_path / "input.txt"
@@ -405,3 +413,82 @@ def test_decode_failing_the_tableau_condition_exit_1(tmp_path, capsys, mode, sha
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+_SHAPES = st.sampled_from(["2,1", "2,1/1", "3,1/1", "1,1,1", "1,2", "3/4", "a", "", "-1",
+                           "2,1/0/0", "0", "1,1/1,1"])
+_ENTRIES = st.one_of(st.integers(-1, 3), st.sampled_from(["x", "1.5", "-", "07"]))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.integers(-1, 3), st.none(), st.booleans(), st.just(1.5), st.just("a")),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=16)
+
+
+def _nested(head):
+    return st.sampled_from([50, 100000]).map(lambda depth: head + "[" * depth)
+
+
+_MATRIX_TEXTS = st.one_of(
+    st.lists(st.lists(_ENTRIES, max_size=4), max_size=4).map(
+        lambda rows: "\n".join(" ".join(map(str, r)) for r in rows)),
+    st.builds(lambda mode, rows: json.dumps({"mode": mode, "rows": rows}),
+              st.sampled_from([BINARY, INTEGRAL, "ternary", 1]), _JSON_VALUES),
+    _nested('{"mode": "binary", "rows": '))
+_TABLEAU_TEXTS = st.one_of(
+    st.lists(_SHAPES, max_size=4).map("\n".join),
+    st.builds(lambda flavor, chain: json.dumps({"flavor": flavor, "chain": chain}),
+              st.sampled_from(["sst", "reverse", "transpose", "nosuch", 0]), _JSON_VALUES),
+    _nested('{"flavor": "sst", "chain": '))
+_MAP_TEXTS = st.lists(st.sampled_from(["0,0 -> 0,1", "0,1 -> 0,0", "1,0 -> 1,0", "0,x -> 1",
+                                       "5,5 -> 0,0", "-1,0 -> 0,0", ""]), max_size=4).map("\n".join)
+
+
+@st.composite
+def _malformed_calls(draw):
+    """One CLI call on small, often malformed input: (argv, file text), the
+    file named FILE in argv.  Sizes stay small, so every call is quick."""
+    mode = draw(st.sampled_from([BINARY, INTEGRAL, "ternary"]))
+    direction = draw(st.sampled_from(["up", "down", "left", "right", "sideways"]))
+    index = draw(st.sampled_from(["-1", "0", "2", "7", "x"]))
+    s1, s2 = draw(_SHAPES), draw(_SHAPES)
+    calls = [
+        ("matrix", ["move", "--mode", mode, "--direction", direction, "--index", index, "FILE"]),
+        ("matrix", ["potential", "--mode", mode, "--direction", direction, "--index", index,
+                    "FILE"]),
+        ("matrix", ["exhaust", "--mode", mode, "--directions",
+                    draw(st.sampled_from(["up", "down,left", "up,down", "right,", ""])),
+                    "--bound", draw(st.sampled_from(["-3", "0", "2", "x"])), "FILE"]),
+        ("matrix", ["decompose", "--mode", mode, "FILE"]),
+        ("matrix", ["compose", "--mode", mode, "--p", "FILE", "--q", "FILE"]),
+        ("matrix", ["normal-form", "--mode", mode, "FILE"]),
+        ("matrix", ["growth", "--mode", mode, "--orientation",
+                    draw(st.sampled_from(["NW", "SE", "XX"])), "--verify", "FILE"]),
+        ("matrix", ["burge", "FILE"]),
+        ("matrix", ["dual-rsk", "FILE"]),
+        ("matrix", ["decode", "--mode", mode, "--shape", s1, "FILE"]),
+        ("matrix", ["pictures", "lift", "FILE", "--mode", mode, "--dom", s1, "--cod", s2]),
+        ("tableau", ["encode", "--mode", mode, "FILE"]),
+        ("tableau", ["dual", "FILE"]),
+        ("map", ["pictures", "validate", "--dom", s1, "--cod", s2, "--map", "FILE"]),
+        (None, ["pictures", "enumerate", "--dom", s1, "--cod", s2]),
+        (None, ["scalar", "--mode", mode, "--stage",
+                draw(st.sampled_from(["brute", "tab_first", "lr_first", "fully_reduced", "x"])),
+                "--shape1", s1, "--shape2", s2, "--box",
+                draw(st.sampled_from(["0,0", "a,b", "2", "3,3", "-1,2", "1,1", "4,4", "2,3,4"]))]),
+    ]
+    kind, argv = draw(st.sampled_from(calls))
+    texts = {"matrix": _MATRIX_TEXTS, "tableau": _TABLEAU_TEXTS, "map": _MAP_TEXTS}
+    return argv, draw(texts[kind]) if kind else ""
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_malformed_calls())
+def test_malformed_calls_exit_with_a_code(tmp_path_factory, call):
+    """Ragged, negative, non-integer, mistyped and deeply nested input, and
+    bad shapes, boxes and indices, end in exit 0, 1 or 2, never in an
+    escaping exception."""
+    argv, text = call
+    path = tmp_path_factory.getbasetemp() / "malformed-call.txt"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = run([str(path) if a == "FILE" else a for a in argv])
+    assert rc in (0, 1, 2), (argv, text[:200])

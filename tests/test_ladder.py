@@ -1,7 +1,8 @@
 """The bracket-matching ladder kernel against the literal one-move
 definitions: `interchangeable` (binary) and `transfer_legal` (integral)
 pick the unique legal move, and per-move exhaustion follows the canonical
-order documented in `exhaust`, rescanning from index 0 after every ladder."""
+order documented in `exhaust`, rescanning from index 0 after every ladder.
+A single ladder replaces only the two lines of its pair."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +41,27 @@ def test_ladder_is_k_oracle_moves(m, d, index):
         assert first[0].rows == ops.ladder(m, d, index, 1)[0].rows and first[1] == want[0]
     with pytest.raises(ValueError):
         ops.ladder(m, d, index, pot + 1)
+
+
+@SETTINGS
+@given(matrices(), st.sampled_from(DIRECTIONS), st.integers(0, 9),
+       st.one_of(st.none(), st.integers(0, 3)))
+# a row pair between two rows it leaves alone, and a column pair
+@example(BinaryMatrix([[1, 1], [1, 0], [0, 1], [0, 0]]), DOWN, 1, None)
+@example(IntegralMatrix([[1, 0, 2], [0, 1, 0], [2, 2, 1]]), RIGHT, 0, None)
+def test_climb_replaces_only_its_pair(m, d, index, k):
+    """`climb`, `ladder` and `move` keep by identity every row tuple they
+    leave unchanged (for a row pair, every row outside it), and a climb
+    that moves nothing returns m itself."""
+    ops = cb if m.binary else ci
+    out, moved = ops.climb(m, d, index, k)
+    assert (out is m) == (not moved), (m, d, index, k)
+    assert ops.ladder(m, d, index, 0)[0] is m
+    step = ops.move(m, d, index)
+    for x in [out, ops.ladder(m, d, index)[0]] + ([step[0]] if step else []):
+        assert all(y is r for y, r in zip(x.rows, m.rows) if y == r), (m, d, index, k)
+        if d in (UP, DOWN):
+            assert all(x.rows[i] == r for i, r in enumerate(m.rows) if i not in (index, index + 1))
 
 
 DIRECTION_SETS = [(UP,), (DOWN,), (LEFT,), (RIGHT,), (UP, LEFT), (UP, RIGHT),
