@@ -18,16 +18,17 @@ the two lines as lists (a row pair as stored, a column pair read bottom to
 top), visits only their unequal bits, forward with a stack of '(' for
 raising moves and backward with a stack of ')' for lowering moves, and
 flips the first k bits left on the stack.  With it stay `MoveRecord`,
-`_records` and `interchangeable`, the literal one-move definition kept as
+`_record`, `_records` and `interchangeable`, the literal one-move definition kept as
 an independent check.
 
 The ladder API is written here once for both crystals: `_kernel` builds
 `potential`, `climb`, `ladder` and `move` of a mode module on the
-module's own `_climb`, `_units` and `_records`.  Each climbs copies of
-the pair's two lines once; `climb` replaces just those two lines and
-shares every row tuple the moves leave unchanged with its input (for a
-row pair, every other row), and `ladder` and `move` are `climb` plus
-their checks and records.  `_climb_pair` climbs a pair of a list of line
+module's own `_climb`, `_units`, `_positions`, `_record` and `_records`.
+Each climbs copies of the pair's two lines once; `climb` replaces just
+those two lines and shares every row tuple the moves leave unchanged with
+its input (for a row pair, every other row; for a column pair, every row
+but those at the positions moved), and `ladder` and `move` are `climb`
+plus their checks and records.  `_climb_pair` climbs a pair of a list of line
 lists, growing it by the line the moves fill; the exhaustion sweep and
 `compose` call it directly on row lists.  The reference reading, the full
 bracket string of a pair, lives in the tests, which compare it with the
@@ -124,16 +125,27 @@ def _climb(a: list, b: list, raising: bool, k: Optional[int] = None) -> list[int
 _units = len  # one unit per position moved
 
 
-def _records(d: str, index: int, moved: list, h: int) -> list[MoveRecord]:
-    """One record per move: the cell of the bit '1' before it.  A column
-    pair is read bottom to top, so position p of it is row h - 1 - p."""
+def _positions(moved: list) -> list:
+    """The reading positions whose two bits a climb flipped."""
+    return moved
+
+
+def _record(d: str, index: int, p: int, h: int) -> MoveRecord:
+    """The record of the move at reading position p: the cell of the bit
+    '1' before it.  A column pair is read bottom to top, so position p of
+    it is row h - 1 - p."""
     if d == UP:
-        return [MoveRecord(d, index, (index + 1, at)) for at in moved]
+        return MoveRecord(d, index, (index + 1, p))
     if d == DOWN:
-        return [MoveRecord(d, index, (index, at)) for at in moved]
+        return MoveRecord(d, index, (index, p))
     if d == LEFT:
-        return [MoveRecord(d, index, (h - 1 - p, index + 1)) for p in moved]
-    return [MoveRecord(d, index, (h - 1 - p, index)) for p in moved]
+        return MoveRecord(d, index, (h - 1 - p, index + 1))
+    return MoveRecord(d, index, (h - 1 - p, index))
+
+
+def _records(d: str, index: int, moved: list, h: int) -> list[MoveRecord]:
+    """One record per move, in move order."""
+    return [_record(d, index, p, h) for p in moved]
 
 
 def _climb_pair(climb, lines: list, index: int, raising: bool, k: Optional[int] = None) -> list:
@@ -153,9 +165,10 @@ def _climb_pair(climb, lines: list, index: int, raising: bool, k: Optional[int] 
 
 def _kernel(mode, matrix_class, upward: bool):
     """`potential`, `climb`, `ladder` and `move` of a mode module, on its
-    `_climb`, `_units` (the units of what `_climb` moved) and `_records`,
-    read from the module at each call.  upward: a column pair is read
-    bottom to top, else top to bottom."""
+    `_climb`, `_units` (the units of what `_climb` moved), `_positions`
+    (their reading positions), `_record` (the record of its first item)
+    and `_records`, read from the module at each call.  upward: a column
+    pair is read bottom to top, else top to bottom."""
 
     def lines(rows, d: str, index: int) -> tuple[list, list]:
         """Copies of the two lines of the pair at index in reading order,
@@ -193,14 +206,18 @@ def _kernel(mode, matrix_class, upward: bool):
         if not moved:
             return m, moved
         if d in (UP, DOWN):
-            rows = m.rows[:index] + (tuple(a), tuple(b)) + m.rows[index + 2:]
-        else:
-            if upward:
-                a.reverse()
-                b.reverse()
-            rows = tuple([r if r[index:index + 2] == (x, y) else r[:index] + (x, y) + r[index + 2:]
-                          for r, x, y in zip(m.rows, a, b)])
-        return matrix_class._wrap(rows), moved
+            return matrix_class._wrap(
+                m.rows[:index] + (tuple(a), tuple(b)) + m.rows[index + 2:]), moved
+        rows = list(m.rows)
+        if index + 2 > len(rows[0]):
+            # the pair's second column lies beyond the stored width
+            rows = [r + (0,) for r in rows]
+        last = len(rows) - 1
+        for p in mode._positions(moved):
+            i = last - p if upward else p
+            r = rows[i]
+            rows[i] = r[:index] + (a[p], b[p]) + r[index + 2:]
+        return matrix_class._wrap(tuple(rows)), moved
 
     def ladder(m, d: str, index: int, k: Optional[int] = None) -> tuple:
         """Apply the first k moves (None: the whole potential) in direction
@@ -224,7 +241,7 @@ def _kernel(mode, matrix_class, upward: bool):
         out, moved = climb(m, d, index, 1)
         if not moved:
             return None
-        return out, mode._records(d, index, moved, m.height)[0]
+        return out, mode._record(d, index, moved[0], m.height)
 
     return potential, climb, ladder, move
 

@@ -15,11 +15,12 @@ the two lines as lists (a row pair as stored, a column pair read top to
 bottom), keeps one counter of unmatched brackets, forward for raising
 transfers and backward for lowering ones, and moves each run as the scan
 finds it, or the first k units after the scan.  With it stay
-`TransferRecord`, `_records` and `transfer_legal`, the literal definition
-kept as an independent check.  `potential`, `climb`, `ladder` and `move`
-are the ladder API of `crystal_binary`, built on this module's `_climb`,
-`_units` and `_records`.  The reference reading, the full bracket
-string of a pair, lives in the tests, which compare it with the scan.
+`TransferRecord`, `_record`, `_records` and `transfer_legal`, the literal
+definition kept as an independent check.  `potential`, `climb`, `ladder`
+and `move` are the ladder API of `crystal_binary`, built on this module's
+`_climb`, `_units`, `_positions`, `_record` and `_records`.  The reference
+reading, the full bracket string of a pair, lives in the tests, which
+compare it with the scan.
 """
 
 import sys
@@ -124,6 +125,17 @@ def _climb(a: list, b: list, raising: bool, k: Optional[int] = None) -> list:
 def _units(runs: list) -> int:
     """The units of (at, n) runs."""
     return sum(map(itemgetter(1), runs))
+
+
+def _positions(runs: list):
+    """The reading positions of (at, n) runs."""
+    return map(itemgetter(0), runs)
+
+
+def _record(d: str, index: int, run: tuple, h: int) -> TransferRecord:
+    """The record of the first unit of an (at, n) run (h, the height, plays
+    no role)."""
+    return TransferRecord(d, index, run[0])
 
 
 def _records(d: str, index: int, runs: list, h: int) -> list[TransferRecord]:

@@ -81,7 +81,8 @@ class Matrix:
     binary = False
 
     def __init__(self, rows=()):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        # at exact sizes, as `_from_lists` builds them
+        rows = tuple([tuple([*map(int, r)]) for r in rows])
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
@@ -153,7 +154,7 @@ class Matrix:
                 if r[j]:
                     w = j + 1
                     break
-        return type(self)._wrap(tuple(r[:w] for r in rows[:h]))
+        return type(self)._wrap(tuple([r[:w] for r in rows[:h]]))
 
     def pad_to(self, h: int, w: int):
         h = max(h, self.height)

@@ -259,6 +259,13 @@ def _step_ok(flavor: str, a, b) -> bool:
     raise ValueError(f"unknown flavor: {flavor}")
 
 
+def _stable(chain: list) -> tuple:
+    """The chain without its stable tail: repeats of its last member."""
+    while len(chain) >= 2 and chain[-1] == chain[-2]:
+        chain.pop()
+    return tuple(chain)
+
+
 class Tableau(Frozen):
     """A tableau as a stabilized chain of partitions with one of four flavors.
 
@@ -271,12 +278,7 @@ class Tableau(Frozen):
     def __init__(self, flavor: str, chain: tuple[Partition, ...]):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor: {flavor}")
-        chain = [trim(c) for c in chain]
-        if not chain:
-            chain = [()]
-        while len(chain) >= 2 and chain[-1] == chain[-2]:
-            chain.pop()
-        chain = tuple(chain)
+        chain = _stable([trim(c) for c in chain] or [()])
         for c in chain:
             if not is_partition(c):
                 raise ValueError(f"chain member not a partition: {c}")
@@ -286,6 +288,16 @@ class Tableau(Frozen):
                     f"chain step {a} -> {b} violates {flavor} strip relation"
                 )
         vars(self).update(flavor=flavor, chain=chain)
+
+    @classmethod
+    def _wrap(cls, flavor: str, chain: list):
+        """Internal constructor for a nonempty list of trimmed partitions
+        already known to form a chain of the flavor, as `Matrix._wrap` is
+        for rows; it only drops the stable tail.  Callers' chains go
+        through `Tableau(...)`, which checks every step."""
+        t = cls.__new__(cls)
+        vars(t).update(flavor=flavor, chain=_stable(chain))
+        return t
 
     @property
     def reverse(self) -> bool:

@@ -393,8 +393,10 @@ def check_involution_pairing(m, partner, shape, which, other):
 def check_dual(t):
     """The Schutzenberger dual of a straight tableau t is a reverse
     tableau of t's weight whose dual is t, and rectifying its rotated
-    complement gives t back."""
+    complement gives t back.  `dual` builds its result without the
+    checks of `Tableau(...)`; its chain passes them here."""
     d = dual(t)
+    _require(Tableau(d.flavor, d.chain) == d, "the dual's chain is a valid chain of its flavor")
     _require(d.flavor == REVERSE, "the dual is a reverse tableau")
     _require(dual(d) == t, "dual is an involution")
     _require(trim(d.weight()) == trim(t.weight()), "dual keeps the weight")

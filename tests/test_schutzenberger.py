@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from doublecrystal.insertion import rectify
+from doublecrystal.insertion import burge, dual_rsk_col, rectify
+from doublecrystal.matrices import BinaryMatrix, IntegralMatrix
 from doublecrystal.schutzenberger import dual, rotate_complement
 from doublecrystal.shapes import (
     REVERSE,
@@ -89,4 +90,17 @@ def test_dual_transpose_flavors_agree():
     rng = random.Random(15)
     for _ in range(40):
         t = random_sst(rng)
+        assert dual(t.conjugate()) == dual(t).conjugate()
+
+
+@pytest.mark.parametrize("side", [8, 16, 24])
+def test_dual_of_insertion_tableaux(side):
+    # weights far past the random SSTs above: the insertion tableaux of
+    # seeded side x side matrices, three per mode (weight about side^2 / 2
+    # binary, side^2 integral)
+    rng = random.Random(side)
+    for binary in (True, False) * 3:
+        rows = [[rng.randint(0, 1 if binary else 2) for _ in range(side)] for _ in range(side)]
+        t, _ = dual_rsk_col(BinaryMatrix(rows)) if binary else burge(IntegralMatrix(rows))
+        check_dual(t)
         assert dual(t.conjugate()) == dual(t).conjugate()
