@@ -4,11 +4,15 @@ involutions.
 
 The four summation stages per mode (brute, tab_first, lr_first,
 fully_reduced) all evaluate the same scalar product; sums are taken over
-matrices supported in a finite box.  The box contract has two parts: for
-shapes of equal weight the box must cover both targets (binary: lam_1
-columns and l(nu) rows; integral: l(lam) rows and l(nu) columns), and the
-value must be unchanged when the box grows by one row and one column.
-Either failure raises BoxTooSmall.
+matrices supported in a finite box.  The box contract is the cover check
+alone: for shapes of equal weight the box must cover both targets (binary:
+lam_1 columns and l(nu) rows; integral: l(lam) rows and l(nu) columns), or
+BoxTooSmall is raised.  A covering box holds every term, so the stages
+never read it: if alpha >= 0 and base <= target give a nonzero edge
+symbol, alpha has no part at or past l(target).  Proof: let p >= l(target)
+be the position of its last nonzero part; beta_i = base_i + alpha_i - i
+>= -i, and the positions past p hold their -i, so the value -p must be
+taken at position p, which forces alpha_p = 0.
 
 The brute stage sums f * g over every matrix in the box, grouped by margin
 pair: for each pair of compositions with nonzero edge symbols it multiplies
@@ -81,8 +85,7 @@ from .shapes import (
 
 
 class BoxTooSmall(ValueError):
-    """The enumeration box does not cover both targets or failed the
-    stabilization check."""
+    """The enumeration box does not cover both targets."""
 
 
 class NotCancellable(ValueError):
@@ -229,13 +232,14 @@ def _symbol_support(base, target, n, slots):
 
 
 @lru_cache(maxsize=None)
-def _content_support(base, target, n, slots):
-    """_symbol_support with the symbols of the compositions that share
-    their sorted nonzero parts summed: ((parts, summed symbol), ...) in
-    first appearance, zero sums dropped.  The Kostka numbers and margin
-    counts the stages weight by the symbols depend only on those parts."""
+def _content_support(base, target, n):
+    """_symbol_support in l(target) slots, which hold every nonzero symbol,
+    with the symbols of the compositions that share their sorted nonzero
+    parts summed: ((parts, summed symbol), ...) in first appearance, zero
+    sums dropped.  The Kostka numbers and margin counts the stages weight
+    by the symbols depend only on those parts."""
     sums = {}
-    for alpha, s in _symbol_support(base, target, n, slots):
+    for alpha, s in _symbol_support(base, target, n, len(target)):
         key = _sorted_parts(alpha)
         sums[key] = sums.get(key, 0) + s
     return tuple((key, s) for key, s in sums.items() if s)
@@ -348,10 +352,8 @@ def _lr_search(lam, kap, nu, mu) -> int:
     return sum(1 for _ in _lr_fillings(lam, kap, nu, mu))
 
 
-def _stage_value(shape1, shape2, stage, mode, box):
-    """One stage's alternating sum in the box, which must cover both
-    targets (see _least_box)."""
-    h, w = box
+def _stage_value(shape1, shape2, stage, mode):
+    """One stage's alternating sum at any box covering both targets (see _least_box)."""
     lam, kap = shape1.outer, shape1.inner
     nu, mu = shape2.outer, shape2.inner
     n = shape1.weight
@@ -359,11 +361,11 @@ def _stage_value(shape1, shape2, stage, mode, box):
         return 0
     if stage == BRUTE:
         if mode == BINARY:
-            f_sup = _content_support(_conjugate(kap), _conjugate(lam), n, w)  # on column sums
-            g_sup = _content_support(mu, nu, n, h)  # on row sums
+            f_sup = _content_support(_conjugate(kap), _conjugate(lam), n)  # on column sums
+            g_sup = _content_support(mu, nu, n)  # on row sums
         else:
-            f_sup = _content_support(kap, lam, n, h)  # on row sums
-            g_sup = _content_support(mu, nu, n, w)  # on column sums
+            f_sup = _content_support(kap, lam, n)  # on row sums
+            g_sup = _content_support(mu, nu, n)  # on column sums
         total = 0
         for a1, s1 in f_sup:
             for a2, s2 in g_sup:
@@ -371,19 +373,18 @@ def _stage_value(shape1, shape2, stage, mode, box):
                 total += s1 * s2 * _margin_count(mode, rs, cs)
         return total
     if stage == TAB_FIRST:
-        # sum of the LR-side symbol over tableau-condition matrices in the box
-        sup = _content_support(mu, nu, n, h if mode == BINARY else w)
+        # sum of the LR-side symbol over tableau-condition matrices
+        sup = _content_support(mu, nu, n)
         return sum(s * _kostka(kap, lam, alpha) for alpha, s in sup)
     if stage == LR_FIRST:
-        # sum of the tableau-side symbol over LR-condition matrices in the box
+        # sum of the tableau-side symbol over LR-condition matrices
         if mode == BINARY:
-            # BL members rotate to encodings of tableaux of the conjugate
-            # shape, with the column sums reversed into the w slots (the
-            # Kostka number does not see the order)
-            sup = _content_support(_conjugate(kap), _conjugate(lam), n, w)
+            # BL members rotate to encodings of tableaux of the conjugate shape,
+            # with the column sums reversed (Kostka numbers ignore the order)
+            sup = _content_support(_conjugate(kap), _conjugate(lam), n)
             inner, outer = _conjugate(mu), _conjugate(nu)
             return sum(s * _kostka(inner, outer, alpha) for alpha, s in sup)
-        sup = _content_support(kap, lam, n, h)
+        sup = _content_support(kap, lam, n)
         return sum(s * _kostka(mu, nu, alpha) for alpha, s in sup)
     if stage == FULLY_REDUCED:
         return _lr_search(lam, kap, nu, mu)
@@ -407,8 +408,7 @@ def alternating_sum(shape1: SkewShape, shape2: SkewShape, stage: str, mode: str,
     Raises UsageError for an unknown stage or mode, and unless box is two
     integers of at least 1.  Shapes of different weights sum to 0.  For
     shapes of equal weight, raises BoxTooSmall unless the box covers both
-    targets (see _least_box), and also unless the value is unchanged when
-    the box grows by one row and one column.
+    targets (see _least_box); the value is then the same at every such box.
     """
     if stage not in STAGES:
         raise UsageError(f"unknown stage: {stage!r}")
@@ -425,13 +425,7 @@ def alternating_sum(shape1: SkewShape, shape2: SkewShape, stage: str, mode: str,
             f"box {box} does not cover the targets of {shape1} and {shape2}; "
             f"{mode} needs at least {need}"
         )
-    v = _stage_value(shape1, shape2, stage, mode, box)
-    v2 = _stage_value(shape1, shape2, stage, mode, (box[0] + 1, box[1] + 1))
-    if v != v2:
-        raise BoxTooSmall(
-            f"sum changed from {v} to {v2} when growing box {box}"
-        )
-    return v
+    return _stage_value(shape1, shape2, stage, mode)
 
 
 def _ladder_apply(m, d, raise_dir, lower_dir, index):

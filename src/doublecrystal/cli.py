@@ -197,10 +197,10 @@ def cmd_scalar(args):
     value = alternating_sum(s1, s2, args.stage, args.mode, box)
     print(value)
     if args.trace:
-        _print_cancellation_trace(s1, s2, args.mode, box)
+        _print_cancellation_trace(s1, s2, args.mode)
 
 
-def _print_cancellation_trace(s1, s2, mode, box):
+def _print_cancellation_trace(s1, s2, mode):
     """List the LR-condition cancellation pairs among tableau-side matrices."""
     from . import cancellation
 
@@ -343,7 +343,7 @@ def build_parser():
     p.add_argument("--stage", choices=STAGES, required=True)
     p.add_argument("--shape1", required=True)
     p.add_argument("--shape2", required=True)
-    p.add_argument("--box", help="rows,cols enumeration box (default 6,6)")
+    p.add_argument("--box", help="rows,cols enumeration box covering both targets (default 6,6)")
     p.add_argument("--trace", action="store_true",
                    help="print LR cancellation pairs to stderr")
 

@@ -263,6 +263,11 @@ def check_exhaust(m, directions, bound=None):
     _require(records == want_records, "exhaust makes the oracle's moves")
 
 
+def _suffix_sums(p, n):
+    """Column j < n of P gives the trimmed suffix sums (sum(row[j:]) for row in P)."""
+    return tuple(trim(sum(row[j:]) for row in p.rows) for j in range(n))
+
+
 @_names_case
 def check_insertion_encodings(m):
     """P and Q are the encodings of the Burge tableaux (integral), or Q
@@ -276,10 +281,9 @@ def check_insertion_encodings(m):
         return
     s, r = dual_rsk_col(m)
     _require(encode(s, BINARY) == q, "Q encodes the dual RSK insertion tableau")
-    n = max(p.width, len(r.chain) - 1)
-    pp = p.pad_to(1, n)
-    chain = tuple(trim(sum(row[j:]) for row in pp.rows) for j in range(n + 1))
-    _require(chain == r.padded_chain(n + 1), "column suffix sums of P give the recording chain")
+    n = max(p.width, len(r.chain) - 1) + 1
+    _require(_suffix_sums(p, n) == r.padded_chain(n),
+             "column suffix sums of P give the recording chain")
 
 
 @_names_case
@@ -321,8 +325,8 @@ def check_growth_decomposition(m):
         grid = growth_diagram(m, NE).grid
         bottom, side = grid[-1], tuple(row[0] for row in grid)
         _require(encode(Tableau(SST, side), BINARY) == q, "the left border encodes Q")
-        suffixes = tuple(trim(sum(row[j:]) for row in p.rows) for j in range(len(bottom)))
-        _require(bottom == suffixes, "the bottom border holds the column suffix sums of P")
+        _require(bottom == _suffix_sums(p, len(bottom)),
+                 "the bottom border holds the column suffix sums of P")
         bottom = bottom[::-1]
         rule = functools.partial(dual_backward, flavor=COL_INSERTION)
     else:

@@ -125,12 +125,16 @@ def test_stages_match_naive_enumeration():
         (SkewShape((2,)), SkewShape((3,), (1,))),
         (SkewShape((1,)), SkewShape((2,))),  # mismatched weights sum to zero
     ]
+    # the stages read no box: one value must match the literal sum both at
+    # the pair's least covering box and at (4, 4)
     for s1, s2 in pairs:
         for mode in (BINARY, INTEGRAL):
+            least = tuple(max(side, 1) for side in _least_box(s1, s2, mode))
             for stage in STAGES:
-                assert _stage_value(s1, s2, stage, mode, (4, 4)) == naive_stage(
-                    s1, s2, stage, mode, (4, 4)
-                ), (str(s1), str(s2), mode, stage)
+                for box in (least, (4, 4)):
+                    assert _stage_value(s1, s2, stage, mode) == naive_stage(
+                        s1, s2, stage, mode, box
+                    ), (str(s1), str(s2), mode, stage, box)
 
 
 def oracle_compositions(n, k):
@@ -291,7 +295,7 @@ def test_lr_count_matches_the_tableau_oracle():
 def test_lr_count_matches_the_kostka_stages_at_weights_10_to_15(s1, s2, want):
     # tab_first and lr_first are sums of Kostka numbers and brute a sum of
     # margin counts, each independent of the LR filling search; every stage
-    # runs at the mode's least box and at the box one larger
+    # runs at the mode's least box
     s1, s2 = SkewShape.parse(s1), SkewShape.parse(s2)
     for mode in (BINARY, INTEGRAL):
         assert lr_count(s1, s2, mode) == want
@@ -321,8 +325,7 @@ def test_lr_count_rejects_an_unknown_mode(s1, s2):
 
 def test_lr_count_and_fully_reduced_share_one_search():
     # the count reads neither the mode nor the box: both modes of lr_count
-    # and of the fully_reduced stage, at a box and the box one larger, cost
-    # one search of a fresh pair
+    # and of the fully_reduced stage cost one search of a fresh pair
     s1, s2 = SkewShape.parse("4,3,1/2"), SkewShape.parse("4,2,1/1")
     _lr_search.cache_clear()
     want = lr_count(s1, s2, BINARY)
@@ -433,8 +436,8 @@ def test_box_too_small():
 
 
 @pytest.mark.parametrize("s1,s2,mode,small,covering", [
-    # for each row some stage gives 0 at both sizes the stabilization check
-    # compares, while the true value is 1
+    # each small box misses a row or column of a target, so it is rejected
+    # whatever a sum over it would give; the covering box gives the value 1
     ("1,1,1/0", "1,1,1/0", BINARY, (1, 1), (3, 1)),
     ("0/0", "1,1,1/1,1,1", BINARY, (1, 1), (3, 1)),
     ("0/0", "1,1,1/1,1,1", INTEGRAL, (1, 1), (1, 3)),
@@ -455,11 +458,12 @@ def test_covering_box_gives_lr_count():
             if s1.weight != s2.weight:
                 continue
             for mode in (BINARY, INTEGRAL):
-                box = tuple(max(side, 1) for side in _least_box(s1, s2, mode))
+                h, w = (max(side, 1) for side in _least_box(s1, s2, mode))
                 want = lr_count(s1, s2, mode)
                 for stage in STAGES:
-                    assert _stage_value(s1, s2, stage, mode, box) == want, (
-                        str(s1), str(s2), mode, stage)
+                    for box in ((h, w), (h + 1, w + 1)):
+                        assert alternating_sum(s1, s2, stage, mode, box) == want, (
+                            str(s1), str(s2), mode, stage, box)
 
 
 @pytest.mark.parametrize("box", [(0, 0), (-1, 3), (3, 0), (3,), (1, 2, 3), (2.0, 2), ("2", 2), 6])

@@ -4,14 +4,14 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublecrystal import cancellation, growth, insertion, verify
 from doublecrystal import crystal_binary as cb
 from doublecrystal import crystal_integral as ci
 from doublecrystal.cli import run
-from doublecrystal.matrices import BINARY, INTEGRAL, parse_matrix
+from doublecrystal.matrices import BINARY, INTEGRAL, STAGES, parse_matrix
 
 from conftest import M_BIN, M_INT, P_BIN, P_INT, Q_BIN, Q_INT
 
@@ -152,6 +152,18 @@ def test_scalar_weight_12_at_a_narrow_box(capsys):
               "--box", "9,2"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+@pytest.mark.parametrize("box", ["100000,3", "3,100000"])
+def test_scalar_at_a_long_box(capsys, box):
+    # the stages read no box, so a side far past the recursion limit costs
+    # nothing
+    for mode in (BINARY, INTEGRAL):
+        for stage in STAGES:
+            rc = run(["scalar", "--mode", mode, "--stage", stage,
+                      "--shape1", "2,1", "--shape2", "2,1", "--box", box])
+            out, err = capsys.readouterr()
+            assert (rc, out, err) == (0, "1\n", ""), (mode, stage)
 
 
 def test_scalar_trace(capsys):
@@ -473,7 +485,8 @@ def _malformed_calls(draw):
         (None, ["scalar", "--mode", mode, "--stage",
                 draw(st.sampled_from(["brute", "tab_first", "lr_first", "fully_reduced", "x"])),
                 "--shape1", s1, "--shape2", s2, "--box",
-                draw(st.sampled_from(["0,0", "a,b", "2", "3,3", "-1,2", "1,1", "4,4", "2,3,4"]))]),
+                draw(st.sampled_from(["0,0", "a,b", "2", "3,3", "-1,2", "1,1", "4,4", "2,3,4",
+                                     "100000,3", "3,100000"]))]),
     ]
     kind, argv = draw(st.sampled_from(calls))
     texts = {"matrix": _MATRIX_TEXTS, "tableau": _TABLEAU_TEXTS, "map": _MAP_TEXTS}
@@ -482,6 +495,10 @@ def _malformed_calls(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(_malformed_calls())
+@example((["scalar", "--mode", BINARY, "--stage", "brute", "--shape1", "2,1", "--shape2", "2,1",
+           "--box", "100000,3"], ""))
+@example((["scalar", "--mode", INTEGRAL, "--stage", "lr_first", "--shape1", "2,1", "--shape2",
+           "2,1", "--box", "3,100000"], ""))
 def test_malformed_calls_exit_with_a_code(tmp_path_factory, call):
     """Ragged, negative, non-integer, mistyped and deeply nested input, and
     bad shapes, boxes and indices, end in exit 0, 1 or 2, never in an
