@@ -17,9 +17,9 @@ taken at position p, which forces alpha_p = 0.
 The brute stage sums f * g over every matrix in the box, grouped by margin
 pair: for each pair of compositions with nonzero edge symbols it multiplies
 the symbols by the number of matrices with those row and column sums.  The
-nonzero symbols are listed directly (`_symbol_support`): a backtracking
-search arranges the staircase-shifted target values over the positions,
-with no scan over the compositions of n.
+nonzero symbols are listed directly (`_symbol_support`): a search
+arranges the staircase-shifted target values over the positions, one
+position at a time with no recursion, and scans no compositions of n.
 
 A margin count does not change when rows or columns are permuted, and a
 skew Kostka number does not change when the content is permuted; zero
@@ -115,25 +115,16 @@ def edge_symbol(alpha, lam) -> int:
 
 
 def _hstrips_above(p, t, cap):
-    """Partitions q with p <=h q, q contained in cap, |q| = |p| + t."""
-    cap = trim(cap)
-    n = len(cap)
-
-    def rec(i, budget, prev):
-        if i == n:
-            if budget == 0:
-                yield ()
-            return
-        lo = part(p, i)
-        hi = min(part(cap, i), prev, lo + budget)
-        for v in range(hi, lo - 1, -1):
-            for rest in rec(i + 1, budget - (v - lo), min(v, part(p, i))):
-                yield (v,) + rest
-
-    if t < 0:
-        return
-    for q in rec(0, t, cap[0] if cap else 0):
-        yield trim(q)
+    """Partitions q with p <=h q, q contained in cap, |q| = |p| + t, built
+    part by part with no recursion: q_i runs from its largest allowed value
+    (at most cap_i, q_(i-1), p_(i-1) and p_i plus the budget left) down to
+    p_i, and each part extends every prefix of the last."""
+    layer = [((), t)] if t >= 0 else []
+    for i, c in enumerate(trim(cap)):
+        lo, top = part(p, i), min(c, part(p, i - 1)) if i else c
+        layer = [(q + (v,), b - v + lo) for q, b in layer
+                 for v in range(min(top, q[-1] if q else c, lo + b), lo - 1, -1)]
+    return [trim(q) for q, b in layer if b == 0]
 
 
 def _chains(inner, outer, weights) -> tuple:
@@ -193,42 +184,33 @@ def _symbol_support(base, target, n, slots):
     The symbol is nonzero exactly when beta_i = base_i + alpha_i - i, over
     the positions i < max(slots, l(base), l(target)), is an arrangement of
     the shifted target values target_j - j; its sign is the parity of the
-    arrangement's inversions.  The arrangements are listed by backtracking
-    over the positions, each taking an unused value with 0 <= alpha_i <= the
-    budget left (alpha_i = 0 past the slots), largest alpha_i first.
+    arrangement's inversions.  The arrangements are built position by
+    position with no recursion, each extending every arrangement of the
+    positions before it by an unused value with 0 <= alpha_i <= the budget
+    left (alpha_i = 0 past the slots), largest alpha_i first.
     """
     target = trim(target)
     if not is_partition(target):
         raise ValueError(f"not a partition: {target}")
     size = max(slots, len(base), len(target))
     values = [part(target, j) - j for j in range(size)]  # strictly decreasing
-    floor = [part(base, i) - i for i in range(size)]  # beta_i at alpha_i = 0
-    used = [False] * size
-    alpha = [0] * slots
-    out = []
-
-    def place(i, budget, inv):
-        if i == size:
-            if budget == 0:
-                out.append((trim(alpha), -1 if inv % 2 else 1))
-            return
-        lo = floor[i]
-        hi = lo + budget if i < slots else lo
-        later = i  # used values right of j: the inversions taking j adds
-        for j, v in enumerate(values):
-            if used[j]:
-                later -= 1
-            elif v < lo:
-                break
-            elif v <= hi:
-                used[j] = True
-                if i < slots:
-                    alpha[i] = v - lo
-                place(i + 1, budget - (v - lo), inv + later)
-                used[j] = False
-
-    place(0, n, 0)
-    return tuple(out)
+    # (alpha so far, the values used as bits, budget left, inversions)
+    layer = [((), 0, n, 0)]
+    for i in range(size):
+        lo = part(base, i) - i  # beta_i at alpha_i = 0
+        nxt = []
+        for alpha, used, budget, inv in layer:
+            hi = lo + budget if i < slots else lo
+            for j, v in enumerate(values):
+                if v < lo:
+                    break
+                if v <= hi and not used >> j & 1:
+                    # the used values right of j: the inversions taking j adds
+                    nxt.append((alpha + (v - lo,) if i < slots else alpha, used | 1 << j,
+                                budget - v + lo, inv + (used >> j).bit_count()))
+        layer = nxt
+    return tuple((trim(alpha), -1 if inv % 2 else 1)
+                 for alpha, used, budget, inv in layer if budget == 0)
 
 
 @lru_cache(maxsize=None)

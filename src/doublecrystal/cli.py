@@ -5,12 +5,17 @@ of space-separated entries (with --mode) or as JSON
 {"mode": "binary"|"integral", "rows": [[...]]}.  Tableaux are read as one
 partition per line (comma-separated parts, "0" for empty) with --flavor.
 Exit status: 0 success, 1 domain error, 2 usage error.
+
+One output path: each `cmd_*` returns a `Result(values, notes, code)` and
+never prints or exits.  `run` alone prints the values (`_render`), writes
+each note to stderr as `# note` and maps exceptions to exit codes; only
+`verify` prints as it goes, one PASS/FAIL line per suite as it ends.
 """
 
 import argparse
-import json
 import os
 import sys
+from typing import Iterable, NamedTuple
 
 # only the core here: each command imports the other modules it uses
 from . import decomposition
@@ -70,30 +75,30 @@ def _read_tableau(args, attr="tableau"):
     return Tableau(getattr(args, "flavor", SST) or SST, chain)
 
 
-def _render(value, as_json):
-    """A matrix or a tableau as JSON or as text."""
-    if not isinstance(value, Tableau):
-        return value.to_json() if as_json else value.to_text()
-    if as_json:
-        return json.dumps({"flavor": value.flavor, "chain": [list(c) for c in value.chain]})
-    return "\n".join([f"# flavor: {value.flavor}", *map(format_partition, value.chain)])
+class Result(NamedTuple):
+    """What a command returns: the values `run` prints to stdout, the notes
+    it writes to stderr after them, and the exit code."""
+
+    values: list
+    notes: Iterable = ()
+    code: int = 0
 
 
-def _emit(args, *values):
-    """Print matrices or tableaux: as text, in blocks separated by a blank
-    line; with --json, as one JSON value, a list when there are two."""
-    out = [_render(v, args.json) for v in values]
-    print(f"[{', '.join(out)}]" if args.json and len(out) > 1 else "\n\n".join(out))
+def _render(values, as_json):
+    """Values as text blocks separated by a blank line; with --json, as one
+    JSON value, a list when there are two.  A value with to_text/to_json
+    renders itself; any other renders as its str."""
+    out = [getattr(v, "to_json" if as_json else "to_text", v.__str__)() for v in values]
+    return f"[{', '.join(out)}]" if as_json and len(out) > 1 else "\n\n".join(out)
 
 
 def cmd_encode(args):
-    t = _read_tableau(args)
-    _emit(args, encode(t, args.mode))
+    return Result([encode(_read_tableau(args), args.mode)])
 
 
 def cmd_decode(args):
     m = _read_matrix(args)
-    _emit(args, decode(m, SkewShape.parse(args.shape), args.mode))
+    return Result([decode(m, SkewShape.parse(args.shape), args.mode)])
 
 
 def _index(args):
@@ -106,15 +111,13 @@ def cmd_move(args):
     m = _read_matrix(args)
     res = decomposition.apply_move(m, args.direction, _index(args))
     if res is None:
-        print("none")
-        return
-    _emit(args, res[0])
-    print(f"# {res[1]}", file=sys.stderr)
+        return Result(["null" if args.json else "none"])
+    return Result([res[0]], [res[1]])
 
 
 def cmd_potential(args):
     m = _read_matrix(args)
-    print(decomposition.potential(m, args.direction, _index(args)))
+    return Result([decomposition.potential(m, args.direction, _index(args))])
 
 
 def cmd_exhaust(args):
@@ -124,62 +127,47 @@ def cmd_exhaust(args):
         if d not in DIRECTIONS:
             raise UsageError(f"unknown direction {d!r}")
     out, records = exhaust(m, dirs, args.bound)
-    _emit(args, out)
-    if args.records:
-        for rec in records:
-            print(f"# {rec}", file=sys.stderr)
+    return Result([out], records if args.records else ())
 
 
 def cmd_decompose(args):
-    _emit(args, *decompose(_read_matrix(args)))
+    return Result([*decompose(_read_matrix(args))])
 
 
 def cmd_compose(args):
     p = _read_matrix(args, "p")
     q = _read_matrix(args, "q")
-    _emit(args, compose(p, q))
+    return Result([compose(p, q)])
 
 
 def cmd_normal_form(args):
-    m = _read_matrix(args)
-    print(format_partition(normal_form(m)))
+    return Result([format_partition(normal_form(_read_matrix(args)))])
 
 
 def cmd_growth(args):
     from . import growth
 
     m = _read_matrix(args)
-    gd = growth.growth_diagram(m, args.orientation, verify=args.verify)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "orientation": gd.orientation,
-                    "grid": [[list(s) for s in row] for row in gd.grid],
-                }
-            )
-        )
-    else:
-        print(growth.render_growth_diagram(gd))
+    return Result([growth.growth_diagram(m, args.orientation, verify=args.verify)])
 
 
 def cmd_burge(args):
     from . import insertion
 
-    _emit(args, *insertion.burge(_read_matrix(args)))
+    return Result([*insertion.burge(_read_matrix(args))])
 
 
 def cmd_dual_rsk(args):
     from . import insertion
 
     dual_rsk = insertion.dual_rsk_col if args.variant == "col" else insertion.dual_rsk_row
-    _emit(args, *dual_rsk(_read_matrix(args)))
+    return Result([*dual_rsk(_read_matrix(args))])
 
 
 def cmd_dual(args):
     from . import schutzenberger
 
-    _emit(args, schutzenberger.dual(_read_tableau(args)))
+    return Result([schutzenberger.dual(_read_tableau(args))])
 
 
 def _box(text):
@@ -195,13 +183,11 @@ def cmd_scalar(args):
     s1, s2 = SkewShape.parse(args.shape1), SkewShape.parse(args.shape2)
     box = _box(args.box) if args.box else (6, 6)
     value = alternating_sum(s1, s2, args.stage, args.mode, box)
-    print(value)
-    if args.trace:
-        _print_cancellation_trace(s1, s2, args.mode)
+    return Result([value], _cancellation_trace(s1, s2, args.mode) if args.trace else ())
 
 
-def _print_cancellation_trace(s1, s2, mode):
-    """List the LR-condition cancellation pairs among tableau-side matrices."""
+def _cancellation_trace(s1, s2, mode):
+    """The LR-condition cancellation pairs among tableau-side matrices."""
     from . import cancellation
 
     for m in cancellation.tableau_side(s1, s2, mode):
@@ -209,7 +195,7 @@ def _print_cancellation_trace(s1, s2, mode):
             continue
         partner = cancellation.involution(m, s2, LR)
         witness = cancellation.lr_witness(m, s2)
-        print(f"# cancel {m.rows} <-> {partner.rows} witness {witness}", file=sys.stderr)
+        yield f"cancel {m.rows} <-> {partner.rows} witness {witness}"
 
 
 def cmd_pictures(args):
@@ -218,11 +204,8 @@ def cmd_pictures(args):
     dom, cod = SkewShape.parse(args.dom), SkewShape.parse(args.cod)
     if args.action == "enumerate":
         pics = pictures.enumerate_pictures(dom, cod)
-        print(len(pics))
-        for p in pics:
-            print()
-            print(p.to_text())
-    elif args.action == "validate":
+        return Result([len(pics), *pics])
+    if args.action == "validate":
         text = _read_text(args.map)
         mapping = []
         for number, line in enumerate(text.splitlines(), 1):
@@ -239,14 +222,10 @@ def cmd_pictures(args):
                 ) from None
             mapping.append((s, t))
         ok = pictures.validate(tuple(mapping), dom, cod)
-        print("valid" if ok else "invalid")
-        if not ok:
-            sys.exit(1)
-    else:
-        m = _read_matrix(args)
-        proj = pictures.INT if not m.binary else pictures.BIN
-        p = pictures.lift(m, dom, cod, proj)
-        print(p.to_text())
+        return Result(["valid" if ok else "invalid"], code=0 if ok else 1)
+    m = _read_matrix(args)
+    proj = pictures.INT if not m.binary else pictures.BIN
+    return Result([pictures.lift(m, dom, cod, proj)])
 
 
 def cmd_verify(args):
@@ -260,9 +239,9 @@ def cmd_verify(args):
     except ValueError:
         raise UsageError(f"DC_SEED must be an integer, got {text!r}") from None
     names = args.suites or ["all"]
+    # each suite's PASS/FAIL line is printed as the suite ends
     ok = run_suites(names, random.Random(seed), verbose=True)
-    if not ok:
-        sys.exit(1)
+    return Result([], code=0 if ok else 1)
 
 
 def build_parser():
@@ -367,22 +346,27 @@ def build_parser():
 
 
 def run(argv) -> int:
+    """Parse argv, run its command, print the command's values to stdout
+    and its notes to stderr, and return the exit code: 0 success, 1 domain
+    error, 2 usage error."""
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args.fn(args)
+        result = args.fn(args)
+        if result.values:
+            print(_render(result.values, getattr(args, "json", False)))
+        for note in result.notes:
+            print(f"# {note}", file=sys.stderr)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return result.code
 
 
 def main():

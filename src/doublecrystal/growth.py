@@ -29,6 +29,7 @@ dual_backward meets and matches the optional squares in its pass as _dual
 does.
 """
 
+import json
 from itertools import count
 from math import inf
 from operator import add, sub
@@ -289,6 +290,13 @@ class GrowthDiagram(Frozen):
     @property
     def width(self) -> int:
         return len(self.grid[0])
+
+    def to_text(self) -> str:
+        return render_growth_diagram(self)
+
+    def to_json(self) -> str:
+        return json.dumps({"orientation": self.orientation,
+                           "grid": [[list(s) for s in row] for row in self.grid]})
 
 
 def _corner_submatrix(m: Matrix, orientation: str, i: int, j: int) -> Matrix:

@@ -7,6 +7,7 @@ tuples (no trailing zeros), and accept untrimmed input.
 
 from functools import cached_property
 from itertools import starmap, zip_longest
+import json
 import operator
 
 Composition = tuple[int, ...]
@@ -344,6 +345,13 @@ class Tableau(Frozen):
             for i in range(len(self.outer)):
                 rows[i].extend([e] * (part(b, i) - part(a, i)))
         return rows
+
+    def to_text(self) -> str:
+        """The flavor line, then one partition per line."""
+        return "\n".join([f"# flavor: {self.flavor}", *map(format_partition, self.chain)])
+
+    def to_json(self) -> str:
+        return json.dumps({"flavor": self.flavor, "chain": [list(c) for c in self.chain]})
 
     def conjugate(self) -> "Tableau":
         flavor = {

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import re
 
 import pytest
@@ -166,6 +167,22 @@ def test_scalar_at_a_long_box(capsys, box):
             assert (rc, out, err) == (0, "1\n", ""), (mode, stage)
 
 
+# weight 1 in 1200 rows: a target longer than the recursion limit
+_LONG = ",".join(["1"] * 1200) + "/" + ",".join(["1"] * 1199)
+
+
+@pytest.mark.parametrize("shape1,shape2", [(_LONG, "1"), ("1", _LONG)], ids=["long-1", "1-long"])
+def test_scalar_of_a_long_target(capsys, shape1, shape2):
+    # the stages list arrangements and strips one position at a time, with
+    # no recursion
+    for mode in (BINARY, INTEGRAL):
+        for stage in STAGES:
+            rc = run(["scalar", "--mode", mode, "--stage", stage,
+                      "--shape1", shape1, "--shape2", shape2, "--box", "1200,1200"])
+            out, err = capsys.readouterr()
+            assert (rc, out, err) == (0, "1\n", ""), (mode, stage)
+
+
 def test_scalar_trace(capsys):
     rc = run(["scalar", "--mode", "binary", "--stage", "fully_reduced",
               "--shape1", "2,1/0", "--shape2", "2,1,1/1", "--trace"])
@@ -235,6 +252,31 @@ def test_json_on_a_text_only_command_exit_2(files, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "unrecognized arguments: --json" in err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["encode", "--mode", "integral"], "t"),
+    (["decode", "--mode", "binary", "--shape", "9,8,5,5,3/4,1"], "mbin"),
+    (["move", "--mode", "binary", "--direction", "up", "--index", "0"], "mbin"),
+    (["move", "--mode", "binary", "--direction", "up", "--index", "0"], "nomove"),
+    (["exhaust", "--mode", "integral", "--directions", "up"], "mint"),
+    (["decompose", "--mode", "binary"], "mbin"),
+    (["compose", "--mode", "integral", "--p", "pint", "--q"], "qint"),
+    (["growth", "--mode", "integral"], "mint"),
+    (["burge"], "mint"),
+    (["dual-rsk"], "mbin"),
+    (["dual"], "t"),
+], ids=["encode", "decode", "move", "move-none", "exhaust", "decompose", "compose", "growth",
+        "burge", "dual-rsk", "dual"])
+def test_json_output_is_one_json_value(files, tmp_path, capsys, argv, key):
+    """--json prints one JSON value on every command that takes it, null
+    for a move that does not exist."""
+    (tmp_path / "t.txt").write_text("0\n2\n3,2\n")
+    (tmp_path / "nomove.txt").write_text("1 0\n0 0\n")
+    files = {**files, "t": str(tmp_path / "t.txt"), "nomove": str(tmp_path / "nomove.txt")}
+    assert run([files.get(a, a) for a in argv] + [files[key], "--json"]) == 0
+    value = json.loads(capsys.readouterr().out)
+    assert (value is None) == (key == "nomove")
 
 
 def test_verify_cli(capsys, monkeypatch):
@@ -318,8 +360,6 @@ def test_verify_involution_fails_on_an_identity_involution(monkeypatch, capsys, 
     ("diagram4", "mint", "SW"),
 ])
 def test_growth_golden_renderings(files, capsys, name, key, orientation):
-    import pathlib
-
     mode = "integral" if key == "mint" else "binary"
     assert run(["growth", "--mode", mode, "--orientation", orientation,
                 "--verify", files[key]]) == 0
@@ -428,7 +468,7 @@ def test_decode_failing_the_tableau_condition_exit_1(tmp_path, capsys, mode, sha
 
 
 _SHAPES = st.sampled_from(["2,1", "2,1/1", "3,1/1", "1,1,1", "1,2", "3/4", "a", "", "-1",
-                           "2,1/0/0", "0", "1,1/1,1"])
+                           "2,1/0/0", "0", "1,1/1,1", _LONG])
 _ENTRIES = st.one_of(st.integers(-1, 3), st.sampled_from(["x", "1.5", "-", "07"]))
 _JSON_VALUES = st.recursive(
     st.one_of(st.integers(-1, 3), st.none(), st.booleans(), st.just(1.5), st.just("a")),
@@ -509,3 +549,22 @@ def test_malformed_calls_exit_with_a_code(tmp_path_factory, call):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = run([str(path) if a == "FILE" else a for a in argv])
     assert rc in (0, 1, 2), (argv, text[:200])
+
+
+_CLI_GOLDENS = sorted((pathlib.Path(__file__).parent / "goldens" / "cli").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", _CLI_GOLDENS, ids=[p.stem for p in _CLI_GOLDENS])
+def test_cli_golden_transcripts(tmp_path, monkeypatch, capsys, path):
+    """Exit code, stdout and stderr of one call of each command, in text and
+    --json, with its notes (move and exhaust records, scalar's cancel lines)
+    and its exit codes 1 and 2, byte for byte."""
+    golden = json.loads(path.read_text())
+    for name, text in golden["files"].items():
+        (tmp_path / name).write_text(text)
+    for name, value in golden.get("env", {}).items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    code = run(golden["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (golden["code"], golden["stdout"], golden["stderr"])
