@@ -12,9 +12,10 @@ from the right, lowering transfers the unmatched '(' from the left, so
 
 The integral part is `_climb`, one scan and move per line pair: it takes
 the two lines as lists (a row pair as stored, a column pair read top to
-bottom), keeps one counter of unmatched brackets, forward for raising
-transfers and backward for lowering ones, and moves each run as the scan
-finds it, or the first k units after the scan.  With it stay
+bottom), reads them by index, keeps one counter of unmatched brackets,
+forward for raising transfers and backward for lowering ones, and moves
+each run as the scan finds it, or, to move the first k units, moves whole
+runs after the scan and cuts the last one to the units left.  With it stay
 `TransferRecord`, `_record`, `_records` and `transfer_legal`, the literal
 definition kept as an independent check.  `potential`, `climb`, `ladder`
 and `move` are the ladder API of `crystal_binary`, built on this module's
@@ -24,7 +25,6 @@ compare it with the scan.
 """
 
 import sys
-from itertools import count
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -76,50 +76,61 @@ def transfer_legal(m: IntegralMatrix, axis: str, pair: int, at: int, amount: int
 
 def _climb(a: list, b: list, raising: bool, k: Optional[int] = None) -> list:
     """Climb the ladder of lines a, b (index, index+1 of a pair, in reading
-    order) in place, from one counter scan (line a holds each step's '('
-    count, line b its ')' count): raising moves take the unmatched ')'
-    from the right, found forward, lowering moves the unmatched '(' from
-    the left, found backward.  A ')' matches any unmatched '(' before it,
-    so the scan keeps only their number, the depth.  When k is None each
-    run moves as the scan finds it; else the first k units (all when k
-    exceeds them) move after it.  Returns the (at, n) runs moved, in move
-    order."""
+    order) in place, from one counter scan by index (line a holds each
+    step's '(' count, line b its ')' count): raising moves take the
+    unmatched ')' from the right, found forward, lowering moves the
+    unmatched '(' from the left, found backward.  A ')' matches any
+    unmatched '(' before it, so the scan keeps only their number, the
+    depth.  When k is None each run moves as the scan finds it; else,
+    after the scan, the first runs move whole and the last one, cut to
+    the k units left, ends the climb (all runs move when k exceeds their
+    units).  Returns the (at, n) runs moved, in move order."""
     runs, depth, now = [], 0, k is None
     if raising:
-        for at, o, c in zip(count(), a, b):
+        for at in range(len(a)):
+            c = b[at]
             if c > depth:
                 runs.append((at, c - depth))
+                o = a[at]
                 if now:
                     a[at] = o + c - depth
                     b[at] = depth
                 depth = o
             else:
-                depth += o - c
+                depth += a[at] - c
         src, dst = b, a
     else:
-        for at, o, c in zip(count(len(a) - 1, -1), reversed(a), reversed(b)):
+        for at in range(len(a) - 1, -1, -1):
+            o = a[at]
             if o > depth:
                 runs.append((at, o - depth))
+                c = b[at]
                 if now:
                     a[at] = depth
                     b[at] = c + o - depth
                 depth = c
             else:
-                depth += c - o
+                depth += b[at] - o
         src, dst = a, b
+    if not runs:
+        return runs
     runs.reverse()
     if now:
         return runs
-    out = []
-    for at, n in runs:
-        if k <= 0:
-            break
-        n = min(n, k)
-        out.append((at, n))
+    for i, (at, n) in enumerate(runs):
+        if n >= k:
+            # the last run: cut to the k units left
+            if k > 0:
+                src[at] -= k
+                dst[at] += k
+                runs[i] = (at, k)
+                i += 1
+            del runs[i:]
+            return runs
         src[at] -= n
         dst[at] += n
         k -= n
-    return out
+    return runs
 
 
 def _units(runs: list) -> int:

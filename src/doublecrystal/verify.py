@@ -298,6 +298,58 @@ def check_rectify(t):
 
 
 @_names_case
+def check_crystal_operators(t):
+    """The parallel moves at index i of t's encodings, up and down
+    (binary) or left and right (integral), are the tableau crystal
+    operators e_i and f_i, read off t's reading word by the bracket rule
+    (Bump-Schilling, Crystal Bases, 2017, chs. 2-3) at every index up to
+    one past t's last letter.
+
+    The reading word takes t's rows bottom to top, each left to right.
+    Each i + 1 pairs with the nearest later unpaired i; e_i turns the
+    leftmost unpaired i + 1 into i, f_i the rightmost unpaired i into
+    i + 1, and their counts are the raising and lowering potentials.  A
+    row's i precede its i + 1, so its unpaired i + 1 are its leftmost
+    i + 1 and its unpaired i its rightmost i: either operator moves the
+    border chain[i + 1] of one row by one cell."""
+    n = len(t.chain) - 1
+    chain = t.padded_chain(n + 3)
+    encodings = [(encode(t, BINARY), UP, DOWN), (encode(t, INTEGRAL), LEFT, RIGHT)]
+    for i in range(n + 1):
+        lo, mid, hi = chain[i:i + 3]
+        opened, closed = [], []  # rows of the unpaired i + 1 and i, in word order
+        for r in range(len(hi) - 1, -1, -1):
+            for _ in range(part(mid, r) - part(lo, r)):
+                if opened:
+                    opened.pop()
+                else:
+                    closed.append(r)
+            opened += [r] * (part(hi, r) - part(mid, r))
+        for rows, sign in ((opened, 1), (closed, -1)):
+            want = None
+            if rows:
+                r = rows[0] if sign > 0 else rows[-1]
+                c = part(mid, r) - (sign < 0)  # the column of the letter changed
+                border = [part(mid, j) + sign * (j == r) for j in range(max(len(mid), r + 1))]
+                want = Tableau(SST, chain[:i + 1] + (trim(border),) + chain[i + 2:])
+            for m, raise_dir, lower_dir in encodings:
+                d = raise_dir if sign > 0 else lower_dir
+                _require(potential(m, d, i) == len(rows),
+                         f"the {d} potential at {i} counts the unpaired letters")
+                res = apply_move(m, d, i)
+                if want is None:
+                    _require(res is None, f"no {d} move at {i} without an unpaired letter")
+                    continue
+                _require(res is not None and res[0] == encode(want, mode_of(m)),
+                         f"the {d} move at {i} encodes the crystal operator")
+                rec = res[1]
+                # a binary record holds the bit '1' before the move, in row
+                # i + 1 of column c for e_i and row i for f_i
+                _require(rec.position == (i + (sign > 0), c) if m.binary else rec.at == r,
+                         f"the {d} move at {i} moves the letter the bracket rule picks")
+
+
+@_names_case
 def check_growth(m):
     """In all four orientations the local rules give the implicit shape of
     every corner submatrix (`growth_diagram` with verify=True)."""

@@ -9,10 +9,12 @@ from doublecrystal.crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP
 from doublecrystal.matrices import BinaryMatrix, IntegralMatrix
 from doublecrystal.verify import (
     check_commute,
+    check_crystal_operators,
     check_move_iff_potential,
     check_opposite_inverts,
     check_perpendicular_potentials,
     random_matrix,
+    random_sst,
 )
 
 from conftest import M2X9, M3X13, all_binary, all_integral, climb
@@ -454,3 +456,56 @@ def test_scan_moves_the_unmatched_brackets_of_the_reference_reading(binary):
                     got = [r.at for r in records]
                 assert got == want, (m, d, index)
                 assert ops.potential(m, d, index) == len(want), (m, d, index)
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "integral"])
+def test_cut_ladders_move_the_first_units_of_the_reference_reading(binary):
+    """`ladder` with k moves the first k unmatched brackets of the reference
+    reading, in move order, and leaves the rest of the ladder: at every
+    index up to one past the stored rectangle, for k of 0, 1, half the
+    potential and the potential, and `climb` moves them all for one more.
+    Integral cuts fall inside a run of several units at one position."""
+    ops = cb if binary else ci
+    rng = random.Random(27)
+    cut_runs = 0
+    for _ in range(120):
+        m = random_matrix(rng, binary, rng.randint(0, 24), rng.randint(0, 24), rng.randint(1, 3))
+        for d in DIRECTIONS:
+            vertical = d in (UP, DOWN)
+            for index in range((m.height if vertical else m.width) + 1):
+                want = _reference_moves(m, d, index)
+                phi = len(want)
+                for k in sorted({0, 1, phi // 2, phi}):
+                    if k > phi:
+                        continue
+                    out, records = ops.ladder(m, d, index, k)
+                    _, rest = ops.ladder(out, d, index)
+                    assert [_at(r, vertical, binary) for r in records] == want[:k], (m, d, index, k)
+                    assert [_at(r, vertical, binary) for r in rest] == want[k:], (m, d, index, k)
+                    cut_runs += 0 < k < phi and want[k - 1] == want[k]
+                with pytest.raises(ValueError, match=f"the potential is {phi}$"):
+                    ops.ladder(m, d, index, phi + 1)
+                assert ops.climb(m, d, index, phi + 1) == ops.climb(m, d, index), (m, d, index)
+    assert binary or cut_runs > 1000, cut_runs
+
+
+def _at(record, vertical: bool, binary: bool) -> int:
+    """The position of a move record along its pair: the column of a row
+    pair, the row of a column pair."""
+    if binary:
+        return record.position[1] if vertical else record.position[0]
+    return record.at
+
+
+def test_crystal_operators_are_the_parallel_moves():
+    """The bracket rule on the reading word of semistandard tableaux,
+    straight and skew, on up to 24 strips, against the parallel moves and
+    potentials of both encodings (`verify.check_crystal_operators`)."""
+    rng = random.Random(15)
+    cases = 0
+    for n in range(300):
+        inner = ((), (), (2, 1), (3, 1, 1), (5, 2, 2, 1))[n % 5]
+        t = random_sst(rng, inner, (4, 10, 24)[n % 3], 3)
+        check_crystal_operators(t)
+        cases += len(t.chain)  # one index past the last letter included
+    assert cases >= 2000

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from doublecrystal import crystal_binary as cb
 from doublecrystal import crystal_integral as ci
 from doublecrystal.crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP
-from doublecrystal.decomposition import _index_limit, _sweep, compose, exhaust
+from doublecrystal.decomposition import _index_limit, _sweep, compose, decompose, exhaust
 from doublecrystal.matrices import BinaryMatrix, IntegralMatrix
 from doublecrystal.verify import (
     check_exhaust,
@@ -113,6 +113,17 @@ def test_truncated_lowering_is_k_oracle_moves(m, index, k):
         x = step[0]
     assert type(m)._from_lists(rows).rows == x.rows, (m, index, k)
     assert ops._units(moved) == min(k, ops.potential(m, DOWN, index))
+
+
+@SETTINGS
+@given(matrices())
+def test_compose_takes_trimmed_factors(m):
+    """P and Q stored in their smallest rectangles compose to m: the
+    replay then reaches past P's stored rows and appends each row its
+    moves fill."""
+    p, q = decompose(m)
+    for a, b in ((p.trimmed(), q), (p, q.trimmed()), (p.trimmed(), q.trimmed())):
+        assert compose(a, b) == m, (m, a, b)
 
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
