@@ -23,17 +23,16 @@ position at a time with no recursion, and scans no compositions of n.
 
 A margin count does not change when rows or columns are permuted, and a
 skew Kostka number does not change when the content is permuted; zero
-parts carry nothing either.  So `_kostka` and `_margin_count` fill their
-caches keyed by the sorted nonzero parts, and the stages sum the symbols of
-the compositions sharing those parts before they count (`_content_support`).
+parts carry nothing either.  So the stages sum the symbols of the compositions
+sharing their sorted nonzero parts before they count (`_content_support`),
+and `_kostka` and `_margin_count` fill one cache entry per such key.
 A matrix and its transpose are counted alike in both modes, so a margin
 pair and its transpose share one count, filled with the longer key as the
 rows.  A margin fill takes the first row a block of equal column sums at a
 time, once per multiset of the block's entries, weighted by the number of
 ways to place it (`_margin_fill`).  tab_first and lr_first weight the
-symbols by Kostka numbers instead of margin counts.  The binary stages and
-the tableau involution read conjugate shapes, each conjugated once per
-partition (`_conjugate`).
+symbols by Kostka numbers instead of margin counts.  The binary stages
+read conjugate shapes, each conjugated once per partition (`_conjugate`).
 
 `lr_count`, which is also the fully_reduced stage, counts the fillings of
 the pruned Littlewood-Richardson filling search, `pictures._lr_fillings`,
@@ -44,8 +43,8 @@ the fully_reduced stage share.
 `tableau_side` encodes every tableau of shape1 with the content of shape2;
 `scalar --trace` and the tests walk it.
 
-The LR involution's witness is read off the first failing step of the
-matrix's LR chain, which the `matrices` module docstring states.
+The involution of either condition climbs one ladder of the matrix itself,
+at the first failing step of the chain `chain_walk` reads for it.
 """
 
 from functools import lru_cache
@@ -65,7 +64,6 @@ from .matrices import (
     LR_FIRST,
     STAGES,
     TAB_FIRST,
-    TABLEAU,
     Matrix,
     chain_walk,
     encode,
@@ -142,8 +140,8 @@ def _chains(inner, outer, weights) -> tuple:
 @lru_cache(maxsize=None)
 def _conjugate(lam) -> tuple:
     """`conjugate` of a trimmed partition, computed once per partition:
-    the binary stages and the tableau involution read the conjugates of
-    the same few shapes over and over."""
+    the binary stages read the conjugates of the same few shapes over and
+    over."""
     return conjugate(lam)
 
 
@@ -158,15 +156,10 @@ def _kostka(inner, outer, weights) -> int:
     """Number of chains inner <=h ... <=h outer with the given strip sizes.
 
     Skew Kostka numbers are symmetric in the content and a zero strip is an
-    identity step, so the chains are counted once per key of nonzero sizes
-    sorted largest first (`_kostka_sorted`); the cache on the arguments as
-    given makes a repeated call one lookup.
+    identity step, so the sizes may come in any order; the stages pass the
+    sorted nonzero keys of `_content_support`, so that one cache entry
+    serves every composition with those parts.
     """
-    return _kostka_sorted(inner, outer, _sorted_parts(weights))
-
-
-@lru_cache(maxsize=None)
-def _kostka_sorted(inner, outer, weights) -> int:
     layer = {inner: 1}
     for t in weights:
         nxt = {}
@@ -416,38 +409,43 @@ def _ladder_apply(m, d, raise_dir, lower_dir, index):
 
 
 def involution(m: Matrix, shape: SkewShape, which: str, mode: str | None = None) -> Matrix:
-    """Cancellation partner of m for the failing condition.
+    """Cancellation partner of m for the failing condition `which` (margins
+    play no role): e^d(m) along the ladder at the witness index i of the
+    first failing step of its chain, d = alpha_{i+1} - alpha_i - 1, with
+    alpha the chain's start plus the sums of the lines its parts index:
 
-    which="lr": m must fail the LR chain condition for shape (margins play
-    no role); the partner is e^d(m) along the vertical (binary) or
-    horizontal (integral) ladder at the witness, d = alpha_{i+1}-alpha_i-1.
-    which="tableau": the quarter-turn (binary) or transpose (integral)
-    analogue.  Raises NotCancellable when the condition's chain test holds.
+        binary tableau, integral LR:  column sums, left / right ladders
+        binary LR, integral tableau:  row sums, up / down ladders
+
+    Raises NotCancellable when the condition's chain test holds.
     """
     if mode is not None and mode_of(m) != mode:
         raise ValueError("matrix type does not match mode")
-    if which == TABLEAU:
-        if m.binary:
-            rot = m.rotate_cw()
-            out = involution(
-                rot, SkewShape(_conjugate(shape.outer), _conjugate(shape.inner)), LR
-            )
-            return out.rotate_ccw()
-        out = involution(m.transpose(), shape, LR)
-        return out.transpose()
-    if which != LR:
-        raise ValueError(f"unknown condition kind: {which}")
-    witness = lr_witness(m, shape)
-    if witness is None:
+    chain, k = chain_walk(m, shape.inner, which)
+    if k is None:
         if m.binary:
             raise NotCancellable("all suffix-column compositions are partitions")
         raise NotCancellable("the cumulative-row chain is all horizontal strips")
-    _, i = witness
-    alpha = add(shape.inner, m.row_sums() if m.binary else m.col_sums())
-    d = part(alpha, i + 1) - part(alpha, i) - 1
+    i = _witness_index(m, chain)
+    if m.binary == (which == LR):
+        sums, raise_dir, lower_dir = m.row_sums(), UP, DOWN
+    else:
+        sums, raise_dir, lower_dir = m.col_sums(), LEFT, RIGHT
+    alpha = add(chain[0], sums)
+    return _ladder_apply(m, part(alpha, i + 1) - part(alpha, i) - 1, raise_dir, lower_dir, i)
+
+
+def _witness_index(m: Matrix, chain) -> int:
+    """The witness index of a chain whose last step fails: the minimal i
+    with next_{i+1} = next_i + 1 (binary), or the maximal j with
+    prev_j < next_{j+1} (integral)."""
+    prev, nxt = chain[-2], chain[-1]
     if m.binary:
-        return _ladder_apply(m, d, UP, DOWN, i)
-    return _ladder_apply(m, d, LEFT, RIGHT, i)
+        for i in range(len(nxt)):
+            if part(nxt, i + 1) == part(nxt, i) + 1:
+                return i
+        raise AssertionError("failure without a unit step")
+    return max(j for j in range(len(nxt)) if part(prev, j) < part(nxt, j + 1))
 
 
 def lr_witness(m: Matrix, shape: SkewShape):
@@ -463,10 +461,4 @@ def lr_witness(m: Matrix, shape: SkewShape):
     chain, k = chain_walk(m, shape.inner, LR)
     if k is None:
         return None
-    prev, nxt = chain[-2], chain[-1]
-    if m.binary:
-        for i in range(len(nxt)):
-            if part(nxt, i + 1) == part(nxt, i) + 1:
-                return m.width - 1 - k, i
-        raise AssertionError("failure without a unit step")
-    return k, max(j for j in range(len(nxt)) if part(prev, j) < part(nxt, j + 1))
+    return (m.width - 1 - k if m.binary else k), _witness_index(m, chain)

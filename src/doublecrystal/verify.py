@@ -417,7 +417,8 @@ def _edge_sign(m, shape, which):
     """The edge symbol of the margin that the failing condition reads,
     shifted by shape.inner, against shape.outer: the row sums (binary) or
     column sums (integral) for LR; for tableau, the other margin, against
-    the conjugate shape for binary (the quarter turn the involution makes)."""
+    the conjugate shape for binary, whose tableau chain starts at
+    conjugate(inner)."""
     if which == LR:
         margin = m.row_sums() if m.binary else m.col_sums()
     else:
@@ -478,13 +479,17 @@ def check_pictures(s1, s2):
 
 
 def suite_moves(rng):
-    """move defined iff potential > 0; opposite moves invert."""
+    """move defined iff potential > 0; opposite moves invert; the parallel
+    moves of tableau encodings, straight and skew, are the tableau crystal
+    operators."""
     for _ in range(150):
         m = _small_matrix(rng, rng.random() < 0.5)
         for d in DIRECTIONS:
             for idx in range(3):
                 check_move_iff_potential(m, d, idx)
                 check_opposite_inverts(m, d, idx)
+    for n in range(30):
+        check_crystal_operators(random_sst(rng, ((), (2, 1), (3, 1, 1))[n % 3]))
 
 
 def suite_potentials(rng):

@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doublecrystal import crystal_binary as cb
+from doublecrystal import crystal_integral as ci
 from doublecrystal.cancellation import (
     BRUTE,
     FULLY_REDUCED,
@@ -27,6 +29,7 @@ from doublecrystal.cancellation import (
     lr_witness,
     tableau_side,
 )
+from doublecrystal.crystal_binary import DOWN, LEFT, RIGHT, UP
 from doublecrystal.decomposition import UsageError
 from doublecrystal.matrices import (
     BINARY,
@@ -35,20 +38,28 @@ from doublecrystal.matrices import (
     TABLEAU,
     BinaryMatrix,
     IntegralMatrix,
+    chain_walk,
     condition,
     diagram,
+    mode_of,
 )
 from doublecrystal.shapes import (
     SkewShape,
     add,
     conjugate,
+    part,
     partitions_up_to,
     subpartitions,
     trim,
 )
-from doublecrystal.verify import check_involution_pairing, check_stage_agreement, skew_shapes
+from doublecrystal.verify import (
+    check_involution_pairing,
+    check_stage_agreement,
+    random_matrix,
+    skew_shapes,
+)
 
-from conftest import LR_PAIRS_10_TO_15, all_binary, all_integral
+from conftest import LR_PAIRS_10_TO_15, all_binary, all_integral, outcome
 
 
 class TestEdgeSymbol:
@@ -351,6 +362,79 @@ def test_alternating_sum_trivial():
         assert alternating_sum(SkewShape((2, 1)), SkewShape((2, 1)), BRUTE, mode) == 1
 
 
+def oracle_lr_witness(m, shape):
+    """`lr_witness` with the witness index read inline."""
+    chain, k = chain_walk(m, shape.inner, LR)
+    if k is None:
+        return None
+    prev, nxt = chain[-2], chain[-1]
+    if m.binary:
+        for i in range(len(nxt)):
+            if part(nxt, i + 1) == part(nxt, i) + 1:
+                return m.width - 1 - k, i
+        raise AssertionError("failure without a unit step")
+    return k, max(j for j in range(len(nxt)) if part(prev, j) < part(nxt, j + 1))
+
+
+def oracle_involution(m, shape, which, mode=None):
+    """The involution by way of the LR condition alone: the tableau
+    condition of m is the LR condition of m turned a quarter clockwise
+    (binary, for the conjugate shape) or transposed (integral), so its
+    partner is the LR partner of the turned matrix, turned back."""
+    if mode is not None and mode_of(m) != mode:
+        raise ValueError("matrix type does not match mode")
+    if which == TABLEAU:
+        if m.binary:
+            rot = m.rotate_cw()
+            out = oracle_involution(rot, SkewShape(conjugate(shape.outer), conjugate(shape.inner)), LR)
+            return out.rotate_ccw()
+        return oracle_involution(m.transpose(), shape, LR).transpose()
+    if which != LR:
+        raise ValueError(f"unknown condition kind: {which}")
+    witness = oracle_lr_witness(m, shape)
+    if witness is None:
+        if m.binary:
+            raise NotCancellable("all suffix-column compositions are partitions")
+        raise NotCancellable("the cumulative-row chain is all horizontal strips")
+    _, i = witness
+    alpha = add(shape.inner, m.row_sums() if m.binary else m.col_sums())
+    d = part(alpha, i + 1) - part(alpha, i) - 1
+    kernel, up, down = (cb, UP, DOWN) if m.binary else (ci, LEFT, RIGHT)
+    return kernel.climb(m, up if d > 0 else down, i, abs(d))[0]
+
+
+def _rows(fn):
+    """fn with its matrix result read as the stored rows."""
+    return lambda *args: fn(*args).rows
+
+
+def test_involution_matches_the_quarter_turn_oracle():
+    """One route for all four conditions gives the stored rows, or the error
+    type and text, of the route through the LR condition, on every binary
+    matrix up to 3x3 and integral one up to 2x3 with entries 0..2 (empty
+    ones included) against seeded shapes, and on random ones up to 8x8,
+    with the mode given, omitted or wrong."""
+    rng = random.Random(5)
+    shapes = skew_shapes(4)
+    boxes = [all_binary(h, w) for h in range(4) for w in range(4)]
+    boxes += [all_integral(h, w, 2) for h in range(3) for w in range(4)]
+    small = [(m, None) for m in itertools.chain.from_iterable(boxes)]
+    large = []
+    for _ in range(200):
+        binary = rng.random() < 0.5
+        m = random_matrix(rng, binary, rng.randint(0, 8), rng.randint(0, 8), rng.choice((1, 2, 4)))
+        large.append((m, rng.choice((None, BINARY, INTEGRAL))))
+    seen = set()
+    for m, mode in small + large:
+        for sh in rng.sample(shapes, 6):
+            for which in (LR, TABLEAU):
+                want = outcome(_rows(oracle_involution), m, sh, which, mode)
+                assert outcome(_rows(involution), m, sh, which, mode) == want, (m, str(sh), which)
+                seen.add(want[0] if isinstance(want[0], type) else which)
+            assert lr_witness(m, sh) == oracle_lr_witness(m, sh), (m, str(sh))
+    assert seen == {LR, TABLEAU, NotCancellable, ValueError}
+
+
 class TestInvolution:
     def test_not_cancellable(self):
         sh = SkewShape((2, 1))
@@ -419,6 +503,24 @@ class TestInvolution:
             cnt += 1
             a = add(conjugate(sh.inner), m.col_sums())
             ap = add(conjugate(sh.inner), mp.col_sums())
+            for lam in partitions_up_to(5):
+                assert edge_symbol(a, lam) + edge_symbol(ap, lam) == 0
+            for _ in range(2):
+                check_involution_pairing(m, mp, sh, TABLEAU, rng.choice(shapes))
+        assert cnt > 50
+
+    def test_integral_tableau_side(self):
+        rng = random.Random(4)
+        shapes = skew_shapes(4)
+        sh = SkewShape((3, 1), (1,))
+        cnt = 0
+        for m in all_integral(2, 3, 2):
+            try:
+                mp = involution(m, sh, TABLEAU)
+            except NotCancellable:
+                continue
+            cnt += 1
+            a, ap = add(sh.inner, m.row_sums()), add(sh.inner, mp.row_sums())
             for lam in partitions_up_to(5):
                 assert edge_symbol(a, lam) + edge_symbol(ap, lam) == 0
             for _ in range(2):

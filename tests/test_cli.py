@@ -337,6 +337,21 @@ def test_each_suite_fails_on_a_fault_and_names_its_case(monkeypatch, capsys, nam
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_verify_moves_fails_on_parallel_moves_that_trade_places(monkeypatch, capsys):
+    """Binary up moves that move down and down moves that move up exist iff
+    their potential is positive and undo each other, so only the crystal
+    operator check of the moves suite, which reads the tableau the matrix
+    encodes, sees them."""
+    monkeypatch.setenv("DC_SEED", "0")
+    monkeypatch.setattr(cb, "_climb", lambda a, b, raising, k=None, climb=cb._climb:
+                        climb(a, b, not raising, k))
+    assert run(["verify", "moves"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "moves: FAIL\n"
+    assert err.startswith("moves: check_crystal_operators(Tableau("), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
 def test_verify_involution_fails_on_an_identity_involution(monkeypatch, capsys, seed):
     """The identity map pairs back, keeps the witness and the perpendicular
