@@ -12,10 +12,33 @@ the highest-weight (raising) or lowest-weight (lowering) element.
 `exhaust` adds one record per unit move; every other caller, the
 Schutzenberger dual included, reads the sweep's ladders directly.
 
+(P, Q) takes one sweep, by the pass-count lemma.  Let T be the tableau Q
+encodes: row j of binary Q is 1 on the columns of T's entries j, and
+integral Q[j][r] counts the entries j in row r of T (r < the width).  Up
+moves commute with left moves and keep their potentials, so m's up sweep
+climbs the ladders of Q's, unit for unit, and an up move at index i acts
+on T as the raising operator e_i, an entry i + 1 turned into i (the
+bracket rule, `verify.check_crystal_operators`).  Lemma: the ladder at
+index i in pass j - 1 moves u(j-1, i) units, the entries j in rows <= i
+of T.  Proof: after passes 0..j-2 each entry v < j sits in row v.  Within
+pass j - 1 values only fall, one index at a time: the ladder at index i
+turns the entries i + 1 of rows <= i, the entries j fallen so far, into
+i, since nothing after them in the reading word (rows bottom to top)
+holds an i to pair with.  A cell already at its row's value cannot fall:
+an entry i + 1 of row i + 1 pairs with the entry i above it, read later.
+The pass stops where no entry j is left to fall.  So u(j-1, i) is 0 below
+that index and for a pass that moved nothing, saturates at row sum j from
+index j on (and, integral, at the width), and Q's row j is its sequence
+of differences: `decompose` reads Q off P's own sweep, and `compose`
+reads Q's ladders off its rows.  These amounts are the string parameters
+of m along the word; for it the string cone is the Gelfand-Tsetlin cone
+(Berenstein-Zelevinsky 2001).
+
 Only what a caller supplies is checked (directions, bounds, a valid pair
 for `compose`); the theorems on valid input are `verify.check_*`.
 """
 
+from itertools import compress, count
 from typing import Optional
 
 from . import crystal_binary as cb
@@ -153,17 +176,76 @@ def normal_form(m: Matrix) -> Partition:
 
 
 def decompose(m: Matrix) -> tuple[Matrix, Matrix]:
-    """The pair (P, Q): P exhausts upward moves, Q leftward moves."""
-    p, _ = _sweep(m, (UP,))
-    q, _ = _sweep(m, (LEFT,))
-    return p, q
+    """The pair (P, Q): P exhausts upward moves, Q leftward moves.
+
+    One sweep: P is `_sweep(m, (UP,))`, and Q, of m's stored h x w, is
+    read off that sweep's ladders and m's row sums by the pass-count
+    lemma (module docstring): the strip of entries j puts
+    n_r = u(j-1, r) - u(j-1, r-1) cells in row r < j of the running shape
+    and the rest of row sum j in row j.  Integral Q[j][r] is n_r; binary
+    Q's row j is 1 on the columns [g_r, g_r + n_r) of each row r, g_r the
+    length of row r before the strip.
+    """
+    p, ladders = _sweep(m, (UP,))
+    units = _ops(m)._units
+    # lifts[j]: u(j-1, i) for i = j - 1, j - 2, ... while pass j - 1 moved; a
+    # pass starts at its top index, above the index the last one stopped at
+    lifts = [[] for _ in m.rows]
+    prev = -1
+    for _, i, moved in ladders:
+        if i > prev:
+            top = i
+        lifts[top + 1].append(units(moved))
+        prev = i
+    rows = [[0] * m.width for _ in m.rows]
+    shape = [0] * m.height
+    for j, s in enumerate(m.row_sums()):
+        below = 0  # u(j-1, r-1)
+        for r, u in enumerate([*reversed(lifts[j]), s], j - len(lifts[j])):
+            n, below = u - below, u
+            if not n:
+                continue
+            if m.binary:
+                rows[j][shape[r]:shape[r] + n] = [1] * n
+                shape[r] += n
+            else:
+                rows[j][r] = n
+    return p, type(m)._from_lists(rows)
+
+
+def _lifts(q: Matrix) -> list[tuple[int, int]]:
+    """The (index, units) of `_sweep(q, (UP,))`'s ladders, in climb order,
+    read forward from Q's rows by the pass-count lemma: pass j - 1 climbs
+    index i = j - 1, j - 2, ... while u(j-1, i), the entries j in tableau
+    rows <= i, is positive.  Integral: the prefix sums of row j.  Binary:
+    row j's cells grouped by the column heights of rows < j."""
+    ladders = []
+    heights = [0] * q.width
+    for j, row in enumerate(q.rows):
+        if q.binary:
+            n = [0] * (j + 1)  # n[r]: the entries j in tableau row r
+            for c in compress(count(), row):
+                n[heights[c]] += 1
+                heights[c] += 1
+        else:
+            n = row
+        u = sum(row)
+        for i in range(j - 1, -1, -1):
+            if i + 1 < len(n):
+                u -= n[i + 1]
+            if not u:
+                break
+            ladders.append((i, u))
+    return ladders
 
 
 def compose(p: Matrix, q: Matrix) -> Matrix:
     """Inverse of decompose: the unique m with exhaust-up = P, exhaust-left = Q.
 
-    Sweeps upward moves on Q, then applies the inverse lowering ladders to
-    P in reverse order.
+    m's up sweep climbs the ladders of Q's (left moves commute with up
+    moves and keep their potentials), and those are read off Q's rows by
+    the pass-count lemma (`_lifts`); the inverse lowering ladders are
+    applied to P in reverse order.
     """
     if type(p) is not type(q):
         raise ComposeError("P and Q must have the same mode")
@@ -184,10 +266,9 @@ def compose(p: Matrix, q: Matrix) -> Matrix:
             raise ComposeError("need rsum(P) = conjugate(csum(Q))")
     elif rp != cq:
         raise ComposeError("need rsum(P) = csum(Q)")
-    _, ladders = _sweep(q, (UP,))
     rows = [list(r) for r in p.rows]
-    for _, index, moved in reversed(ladders):
-        _climb_pair(ops._climb, rows, index, False, ops._units(moved))
+    for index, n in reversed(_lifts(q)):
+        _climb_pair(ops._climb, rows, index, False, n)
     return type(p)._from_lists(rows)
 
 
@@ -195,7 +276,8 @@ def crystal_class_potentials(m: Matrix, axis: str) -> tuple[int, ...]:
     """Lowering potentials at the highest-weight vertex of m's crystal.
 
     vertical: ndm_i at the up-exhausted matrix (differences of the parts
-    of the implicit shape); horizontal: nrm_j at the left-exhausted matrix.
+    of the implicit shape); horizontal: nrm_j at the left-exhausted matrix,
+    decompose's Q.
     """
     ops = _ops(m)
     if axis == "vertical":
@@ -204,7 +286,7 @@ def crystal_class_potentials(m: Matrix, axis: str) -> tuple[int, ...]:
         n = len(lam)
         out = tuple(ops.potential(p, DOWN, i) for i in range(n))
     elif axis == "horizontal":
-        q, _ = _sweep(m, (LEFT,))
+        _, q = decompose(m)
         mu = q.col_sums()
         n = len(mu)
         out = tuple(ops.potential(q, RIGHT, j) for j in range(n))

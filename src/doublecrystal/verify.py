@@ -237,10 +237,12 @@ def check_perpendicular_potentials(m, d, i, j):
 @_names_case
 def check_roundtrip(m):
     """Exhausting m up then left, or left then up, reaches the normal form
-    diagram(lam) or diagon(lam) of lam = normal_form(m), and
+    diagram(lam) or diagon(lam) of lam = normal_form(m), decompose's Q,
+    read off the up sweep, is m's left sweep as stored, and
     compose(decompose(m)) = m."""
     p, q = decompose(m)
     lam = normal_form(m)
+    _require(q.rows == exhaust(m, (LEFT,))[0].rows, "Q is m exhausted left")
     _require(is_normal(exhaust(p, (LEFT,))[0]) == lam, "P exhausted left is the normal form")
     _require(is_normal(exhaust(q, (UP,))[0]) == lam, "Q exhausted up is the normal form")
     _require(compose(p, q) == m, "compose inverts decompose")

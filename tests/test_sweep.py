@@ -1,6 +1,7 @@
 """The reduced-word sweep behind exhaust, decompose, compose and
-normal_form against the literal one-move oracle, its scan count, and
-decompose against the insertion encodings."""
+normal_form against the literal one-move oracle, its scan count, the
+pass-count reading of Q and its ladders against the sweeps, and decompose
+against the insertion encodings."""
 
 import random
 
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from doublecrystal import crystal_binary as cb
 from doublecrystal import crystal_integral as ci
 from doublecrystal.crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP
-from doublecrystal.decomposition import _index_limit, _sweep, compose, decompose, exhaust
+from doublecrystal.decomposition import (
+    _index_limit,
+    _lifts,
+    _sweep,
+    compose,
+    decompose,
+    exhaust,
+)
 from doublecrystal.matrices import BinaryMatrix, IntegralMatrix
 from doublecrystal.verify import (
     check_exhaust,
@@ -21,7 +29,7 @@ from doublecrystal.verify import (
     random_matrix,
 )
 
-from conftest import matrices
+from conftest import all_binary, all_integral, matrices
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -67,6 +75,72 @@ def test_exhaust_scans_each_pass_to_its_first_idle_ladder(monkeypatch):
                 scans.update(all=0, moved=0)
                 exhaust(m, (d,), bound)
                 assert scans["all"] <= scans["moved"] + _index_limit(m, d, bound), (m, d, bound)
+
+
+def _check_one_sweep(m):
+    """decompose's stored rows are the up and left sweeps', and the ladders
+    compose reads off Q, stored or trimmed, are those of Q's up sweep."""
+    p, q = decompose(m)
+    assert (p.rows, q.rows) == (_sweep(m, (UP,))[0].rows, _sweep(m, (LEFT,))[0].rows), m
+    units = (cb if m.binary else ci)._units
+    for x in (q, q.trimmed()):
+        assert _lifts(x) == [(i, units(moved)) for _, i, moved in _sweep(x, (UP,))[1]], (m, x)
+
+
+@pytest.mark.parametrize("box", [lambda: all_binary(3, 4), lambda: all_integral(3, 3, 2)],
+                         ids=["binary-3x4", "integral-3x3"])
+def test_q_read_off_the_up_sweep_exhaustive(box):
+    for m in box():
+        _check_one_sweep(m)
+
+
+def test_q_read_off_the_up_sweep_random():
+    """Seeded random matrices up to 24x24, tall, wide and empty ones
+    included, among them ones whose up sweep has a pass that moves nothing
+    below one that moves."""
+    rng = random.Random(29)
+    sides = [(0, 0), (0, 5), (5, 0), (24, 24), (24, 2), (2, 24), (30, 1), (1, 30)]
+    sides += [(rng.randint(0, 24), rng.randint(0, 24)) for _ in range(300)]
+    idle = 0
+    for t, (h, w) in enumerate(sides):
+        m = random_matrix(rng, t % 2 == 0, h, w, rng.randint(1, 4))
+        _check_one_sweep(m)
+        # a pass starts at its top index, above where the last one stopped
+        tops, prev = [], -1
+        for _, i, _ in _sweep(m, (UP,))[1]:
+            if i > prev:
+                tops.append(i)
+            prev = i
+        idle += tops != list(range(len(tops)))
+    assert idle > 20
+
+
+def test_decompose_and_compose_climb_only_the_up_sweep(monkeypatch):
+    """decompose makes exactly the `_climb` calls of m's up sweep; compose
+    makes h potential climbs of P, w - 1 left climbs of Q and one climb per
+    replayed ladder, and sweeps nothing."""
+    calls = []
+
+    def counting(climb):
+        def scan(*args):
+            calls.append(args[2])
+            return climb(*args)
+        return scan
+
+    rng = random.Random(17)
+    cases = [random_matrix(rng, t % 2 == 0, rng.randint(0, 12), rng.randint(0, 12)) for t in range(80)]
+    for ops in (cb, ci):
+        monkeypatch.setattr(ops, "_climb", counting(ops._climb))
+    for m in cases:
+        calls.clear()
+        ladders = _sweep(m, (UP,))[1]
+        sweep = list(calls)
+        calls.clear()
+        p, q = decompose(m)
+        assert calls == sweep, m
+        calls.clear()
+        assert compose(p, q) == m
+        assert calls == [True] * (p.height + max(q.width - 1, 0)) + [False] * len(ladders), m
 
 
 EDGE_CASES = [
