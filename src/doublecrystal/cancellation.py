@@ -51,10 +51,7 @@ from functools import lru_cache
 from itertools import groupby
 from math import comb
 
-from . import crystal_binary as cb
-from . import crystal_integral as ci
-from .crystal_binary import DOWN, LEFT, RIGHT, UP
-from .decomposition import UsageError
+from .decomposition import DOWN, LEFT, RIGHT, UP, UsageError, _ops
 from .matrices import (
     BINARY,
     BRUTE,
@@ -405,7 +402,7 @@ def alternating_sum(shape1: SkewShape, shape2: SkewShape, stage: str, mode: str,
 
 def _ladder_apply(m, d, raise_dir, lower_dir, index):
     """e^d(m) along the ladder at index: d raising moves, or -d lowering."""
-    return (cb if m.binary else ci).climb(m, raise_dir if d > 0 else lower_dir, index, abs(d))[0]
+    return _ops(m).climb(m, raise_dir if d > 0 else lower_dir, index, abs(d))[0]
 
 
 def involution(m: Matrix, shape: SkewShape, which: str, mode: str | None = None) -> Matrix:

@@ -123,9 +123,6 @@ def cmd_potential(args):
 def cmd_exhaust(args):
     m = _read_matrix(args)
     dirs = [d.strip() for d in args.directions.split(",")]
-    for d in dirs:
-        if d not in DIRECTIONS:
-            raise UsageError(f"unknown direction {d!r}")
     out, records = exhaust(m, dirs, args.bound)
     return Result([out], records if args.records else ())
 

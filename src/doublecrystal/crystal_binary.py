@@ -18,21 +18,21 @@ the two lines as lists (a row pair as stored, a column pair read bottom to
 top), visits only their unequal bits, forward with a stack of '(' for
 raising moves and backward with a stack of ')' for lowering moves, and
 flips the first k bits left on the stack.  With it stay `MoveRecord`,
-`_record`, `_records` and `interchangeable`, the literal one-move definition kept as
+`_records` and `interchangeable`, the literal one-move definition kept as
 an independent check.
 
 The ladder API is written here once for both crystals: `_kernel` builds
 `potential`, `climb`, `ladder` and `move` of a mode module on the
-module's own `_climb`, `_units`, `_positions`, `_record` and `_records`.
-Each climbs copies of the pair's two lines once; `climb` replaces just
-those two lines and shares every row tuple the moves leave unchanged with
-its input (for a row pair, every other row; for a column pair, every row
-but those at the positions moved), and `ladder` and `move` are `climb`
-plus their checks and records.  `_climb_pair` climbs a pair of a list of line
-lists, growing it by the line the moves fill; the exhaustion sweep and
-`compose` call it directly on row lists.  The reference reading, the full
-bracket string of a pair, lives in the tests, which compare it with the
-scan.
+module's own `_climb`, `_units` and `_records`.  Each climbs copies of
+the pair's two lines once; `climb` writes back just the lines or rows
+that changed and shares every other row tuple with its input (for a row
+pair, every row outside it; for a column pair, every row whose two
+entries at the pair the moves left alone), and `ladder` and `move` are
+`climb` plus their checks and records.  `_climb_pair` climbs a pair of a
+list of line lists, growing it by the line the moves fill; the exhaustion
+sweep and `compose` call it directly on row lists.  The reference
+reading, the full bracket string of a pair, lives in the tests, which
+compare it with the scan.
 """
 
 import sys
@@ -125,27 +125,16 @@ def _climb(a: list, b: list, raising: bool, k: Optional[int] = None) -> list[int
 _units = len  # one unit per position moved
 
 
-def _positions(moved: list) -> list:
-    """The reading positions whose two bits a climb flipped."""
-    return moved
-
-
-def _record(d: str, index: int, p: int, h: int) -> MoveRecord:
-    """The record of the move at reading position p: the cell of the bit
-    '1' before it.  A column pair is read bottom to top, so position p of
-    it is row h - 1 - p."""
-    if d == UP:
-        return MoveRecord(d, index, (index + 1, p))
-    if d == DOWN:
-        return MoveRecord(d, index, (index, p))
-    if d == LEFT:
-        return MoveRecord(d, index, (h - 1 - p, index + 1))
-    return MoveRecord(d, index, (h - 1 - p, index))
-
-
 def _records(d: str, index: int, moved: list, h: int) -> list[MoveRecord]:
-    """One record per move, in move order."""
-    return [_record(d, index, p, h) for p in moved]
+    """One record per move, in move order: the cell of the bit '1' before
+    it.  A column pair is read bottom to top, so its reading position p is
+    row h - 1 - p."""
+    if d == UP:
+        return [MoveRecord(d, index, (index + 1, p)) for p in moved]
+    if d == DOWN:
+        return [MoveRecord(d, index, (index, p)) for p in moved]
+    j = index + 1 if d == LEFT else index
+    return [MoveRecord(d, index, (h - 1 - p, j)) for p in moved]
 
 
 def _climb_pair(climb, lines: list, index: int, raising: bool, k: Optional[int] = None) -> list:
@@ -163,12 +152,12 @@ def _climb_pair(climb, lines: list, index: int, raising: bool, k: Optional[int] 
     return moved
 
 
-def _kernel(mode, matrix_class, upward: bool):
+def _kernel(mode, matrix_class):
     """`potential`, `climb`, `ladder` and `move` of a mode module, on its
-    `_climb`, `_units` (the units of what `_climb` moved), `_positions`
-    (their reading positions), `_record` (the record of its first item)
-    and `_records`, read from the module at each call.  upward: a column
-    pair is read bottom to top, else top to bottom."""
+    `_climb`, `_units` (the units of what `_climb` moved) and `_records`,
+    read from the module at each call.  A binary column pair is read
+    bottom to top, an integral one top to bottom."""
+    upward = matrix_class.binary
 
     def lines(rows, d: str, index: int) -> tuple[list, list]:
         """Copies of the two lines of the pair at index in reading order,
@@ -200,7 +189,10 @@ def _kernel(mode, matrix_class, upward: bool):
         the matrix with those two lines replaced, sharing every row tuple
         the moves leave unchanged (m itself when nothing moved; the stored
         rectangle grows only by a line the moves fill), and what `_climb`
-        moved, positions in the pair's reading order."""
+        moved, positions in the pair's reading order.  Raises ValueError
+        when k is negative."""
+        if k is not None and k < 0:
+            raise ValueError(f"cannot apply {k} moves: the potential is {potential(m, d, index)}")
         a, b = lines(m.rows, d, index)
         moved = mode._climb(a, b, d in (UP, LEFT), k)
         if not moved:
@@ -208,16 +200,18 @@ def _kernel(mode, matrix_class, upward: bool):
         if d in (UP, DOWN):
             return matrix_class._wrap(
                 m.rows[:index] + (tuple(a), tuple(b)) + m.rows[index + 2:]), moved
-        rows = list(m.rows)
+        rows = m.rows
         if index + 2 > len(rows[0]):
             # the pair's second column lies beyond the stored width
             rows = [r + (0,) for r in rows]
-        last = len(rows) - 1
-        for p in mode._positions(moved):
-            i = last - p if upward else p
-            r = rows[i]
-            rows[i] = r[:index] + (a[p], b[p]) + r[index + 2:]
-        return matrix_class._wrap(tuple(rows)), moved
+        if upward:
+            a.reverse()
+            b.reverse()
+        # a move keeps the sum of its two entries, so a row whose first
+        # entry is unchanged keeps its tuple
+        return matrix_class._wrap(tuple([
+            r if r[index] == x else r[:index] + (x, y) + r[index + 2:]
+            for r, x, y in zip(rows, a, b)])), moved
 
     def ladder(m, d: str, index: int, k: Optional[int] = None) -> tuple:
         """Apply the first k moves (None: the whole potential) in direction
@@ -225,11 +219,9 @@ def _kernel(mode, matrix_class, upward: bool):
 
         Returns the matrix and one record per move, in move order; the
         stored rectangle grows only to the cells the moves fill.  `move`
-        is ladder(m, d, index, k=1).  Raises ValueError when k exceeds the
-        potential or index is negative.
+        is ladder(m, d, index, k=1).  Raises ValueError when k is negative
+        or exceeds the potential, or index is negative.
         """
-        if k is not None and k < 0:
-            raise ValueError(f"cannot apply {k} moves: the potential is {potential(m, d, index)}")
         out, moved = climb(m, d, index, k)
         if k is not None and mode._units(moved) < k:
             raise ValueError(f"cannot apply {k} moves: the potential is {mode._units(moved)}")
@@ -241,9 +233,9 @@ def _kernel(mode, matrix_class, upward: bool):
         out, moved = climb(m, d, index, 1)
         if not moved:
             return None
-        return out, mode._record(d, index, moved[0], m.height)
+        return out, mode._records(d, index, moved, m.height)[0]
 
     return potential, climb, ladder, move
 
 
-potential, climb, ladder, move = _kernel(sys.modules[__name__], BinaryMatrix, True)
+potential, climb, ladder, move = _kernel(sys.modules[__name__], BinaryMatrix)

@@ -16,12 +16,11 @@ bottom), reads them by index, keeps one counter of unmatched brackets,
 forward for raising transfers and backward for lowering ones, and moves
 each run as the scan finds it, or, to move the first k units, moves whole
 runs after the scan and cuts the last one to the units left.  With it stay
-`TransferRecord`, `_record`, `_records` and `transfer_legal`, the literal
-definition kept as an independent check.  `potential`, `climb`, `ladder`
-and `move` are the ladder API of `crystal_binary`, built on this module's
-`_climb`, `_units`, `_positions`, `_record` and `_records`.  The reference
-reading, the full bracket string of a pair, lives in the tests, which
-compare it with the scan.
+`TransferRecord`, `_records` and `transfer_legal`, the literal definition
+kept as an independent check.  `potential`, `climb`, `ladder` and `move`
+are the ladder API of `crystal_binary`, built on this module's `_climb`,
+`_units` and `_records`.  The reference reading, the full bracket string
+of a pair, lives in the tests, which compare it with the scan.
 """
 
 import sys
@@ -138,20 +137,9 @@ def _units(runs: list) -> int:
     return sum(map(itemgetter(1), runs))
 
 
-def _positions(runs: list):
-    """The reading positions of (at, n) runs."""
-    return map(itemgetter(0), runs)
-
-
-def _record(d: str, index: int, run: tuple, h: int) -> TransferRecord:
-    """The record of the first unit of an (at, n) run (h, the height, plays
-    no role)."""
-    return TransferRecord(d, index, run[0])
-
-
 def _records(d: str, index: int, runs: list, h: int) -> list[TransferRecord]:
     """One record per unit transferred (h, the height, plays no role)."""
     return [TransferRecord(d, index, at) for at, n in runs for _ in range(n)]
 
 
-potential, climb, ladder, move = _kernel(sys.modules[__name__], IntegralMatrix, False)
+potential, climb, ladder, move = _kernel(sys.modules[__name__], IntegralMatrix)

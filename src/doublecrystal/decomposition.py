@@ -43,7 +43,7 @@ from typing import Optional
 
 from . import crystal_binary as cb
 from . import crystal_integral as ci
-from .crystal_binary import DOWN, LEFT, RIGHT, UP, _climb_pair
+from .crystal_binary import DIRECTIONS, DOWN, LEFT, RIGHT, UP, _climb_pair
 from .matrices import Matrix, diagon, diagram
 from .shapes import Partition, conjugate, is_partition, trim
 
@@ -81,7 +81,11 @@ def _index_limit(m: Matrix, d: str, bound: Optional[int]) -> int:
 
 def _directions(directions, bound: Optional[int]) -> tuple[str, ...]:
     """The directions in (up, down, left, right) order, checked."""
-    directions = tuple(d for d in (UP, DOWN, LEFT, RIGHT) if d in set(directions))
+    given = list(directions)
+    for d in given:
+        if d not in DIRECTIONS:
+            raise UsageError(f"unknown direction {d!r}")
+    directions = tuple(d for d in DIRECTIONS if d in given)
     if not directions:
         raise UsageError("at least one direction is required")
     if {UP, DOWN} <= set(directions) or {LEFT, RIGHT} <= set(directions):
@@ -275,21 +279,16 @@ def compose(p: Matrix, q: Matrix) -> Matrix:
 def crystal_class_potentials(m: Matrix, axis: str) -> tuple[int, ...]:
     """Lowering potentials at the highest-weight vertex of m's crystal.
 
-    vertical: ndm_i at the up-exhausted matrix (differences of the parts
-    of the implicit shape); horizontal: nrm_j at the left-exhausted matrix,
-    decompose's Q.
+    vertical: ndm_i at the up-exhausted matrix P; horizontal: nrm_j at the
+    left-exhausted matrix, decompose's Q; i and j up to the last nonzero
+    margin.  Both admit no raising move, so by the margin identities
+    (`verify.check_margin_identities`) each potential is the difference
+    of two adjacent margins: of P's row sums, lam = `normal_form(m)`, or
+    of Q's column sums, lam (integral) or conjugate(lam) (binary).
     """
-    ops = _ops(m)
-    if axis == "vertical":
-        p, _ = _sweep(m, (UP,))
-        lam = p.row_sums()
-        n = len(lam)
-        out = tuple(ops.potential(p, DOWN, i) for i in range(n))
-    elif axis == "horizontal":
-        _, q = decompose(m)
-        mu = q.col_sums()
-        n = len(mu)
-        out = tuple(ops.potential(q, RIGHT, j) for j in range(n))
-    else:
+    if axis not in ("vertical", "horizontal"):
         raise ValueError(f"unknown axis: {axis}")
-    return out
+    lam = normal_form(m)
+    if axis == "horizontal" and m.binary:
+        lam = conjugate(lam)
+    return tuple(a - b for a, b in zip(lam, (*lam[1:], 0)))

@@ -4,10 +4,11 @@ import pytest
 
 from doublecrystal import crystal_binary as cb
 from doublecrystal import crystal_integral as ci
-from doublecrystal.crystal_binary import DOWN, LEFT, UP
+from doublecrystal.crystal_binary import DOWN, LEFT, RIGHT, UP
 from doublecrystal.decomposition import (
     ComposeError,
     UsageError,
+    _sweep,
     apply_move,
     compose,
     crystal_class_potentials,
@@ -180,6 +181,32 @@ def test_crystal_class_potentials():
             sum(1 for p in lam if p > j) for j in range(lam[0])
         )
         assert tuple(sum(dh[j:]) for j in range(len(dh))) == target
+
+
+def _class_potentials_by_moves(m, axis):
+    """crystal_class_potentials read off the exhausted matrices themselves:
+    the down potentials of the up sweep's P and the right potentials of Q,
+    up to the last nonzero margin."""
+    if axis == "vertical":
+        p, _ = _sweep(m, (UP,))
+        return tuple(potential(p, DOWN, i) for i in range(len(p.row_sums())))
+    q = decompose(m)[1]
+    return tuple(potential(q, RIGHT, j) for j in range(len(q.col_sums())))
+
+
+def test_crystal_class_potentials_match_the_exhausted_matrices():
+    """The margin differences agree with the potentials of P and Q on every
+    binary matrix up to 3 x 4 and integral one up to 3 x 3 (entries 0..2),
+    and on seeded random matrices up to 8 x 8."""
+    boxes = [m for h in range(4) for w in range(5) for m in all_binary(h, w)]
+    boxes += [m for h in range(4) for w in range(4) for m in all_integral(h, w, 2)]
+    rng = random.Random(30)
+    boxes += [random_matrix(rng, rng.random() < 0.5, rng.randint(0, 8), rng.randint(0, 8))
+              for _ in range(300)]
+    for m in boxes:
+        for axis in ("vertical", "horizontal"):
+            assert crystal_class_potentials(m, axis) == _class_potentials_by_moves(m, axis), (
+                m, axis)
 
 
 def test_potential_dispatch():

@@ -90,6 +90,25 @@ def test_negative_index_is_rejected(mod, m):
                 call(m, d, -1)
 
 
+@pytest.mark.parametrize("mod,m", [(cb, BinaryMatrix([[0, 0, 0], [1, 1, 1]])),
+                                   (ci, IntegralMatrix([[0, 0], [3, 2]]))])
+def test_negative_k_is_rejected(mod, m):
+    """A negative number of moves is an error in `climb` as in `ladder`,
+    not a count from the end of the ladder."""
+    for call in (mod.climb, mod.ladder):
+        with pytest.raises(ValueError, match="cannot apply -1 moves: the potential is"):
+            call(m, UP, 0, -1)
+
+
+@pytest.mark.parametrize("directions", [(UP, "sideways"), "up"])
+def test_exhaust_rejects_unknown_directions(directions):
+    """Every direction is checked, and a bare string is not read as its
+    letters' directions."""
+    for m in (BinaryMatrix([[0, 1], [1, 0]]), IntegralMatrix([[1, 2], [3, 4]])):
+        with pytest.raises(UsageError, match="unknown direction"):
+            exhaust(m, directions)
+
+
 @pytest.mark.parametrize("directions,bound", [
     ((UP, DOWN), None), ((LEFT, RIGHT), None), ((UP, DOWN, LEFT), 2),
     ((DOWN,), 0), ((RIGHT,), -3), ((UP,), 0),
